@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <set>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -96,18 +98,13 @@ Status IterativeEngine::Prepare(const std::vector<KV>& structure,
                               : PartitionOf(spec_.projector->Project(kv.key));
     parts[p].push_back(kv);
   }
+  structure_.assign(n, StructureIndex());
   for (int p = 0; p < n; ++p) {
     I2MR_RETURN_IF_ERROR(ResetDir(PartitionDir(p)));
-    // Sort in project(SK) order (then SK) so the prime Map can merge-join
-    // with the DK-sorted state file in one pass.
-    std::sort(parts[p].begin(), parts[p].end(),
-              [&](const KV& a, const KV& b) {
-                std::string pa = spec_.projector->Project(a.key);
-                std::string pb = spec_.projector->Project(b.key);
-                if (pa != pb) return pa < pb;
-                return a < b;
-              });
-    I2MR_RETURN_IF_ERROR(WriteRecords(StructurePath(p), parts[p]));
+    // Index in project(SK) order (then SK, SV) so the prime Map can
+    // merge-join with the DK-sorted state in one pass.
+    structure_[p].Build(std::move(parts[p]), *spec_.projector);
+    I2MR_RETURN_IF_ERROR(structure_[p].Write(StructurePath(p)));
   }
   // Partition (or replicate) state kv-pairs.
   for (int p = 0; p < n; ++p) states_[p]->Clear();
@@ -123,8 +120,7 @@ Status IterativeEngine::Prepare(const std::vector<KV>& structure,
   // still exist and get rescored by reduce_untouched_keys.
   if (!all_to_one() && spec_.init_state) {
     for (int p = 0; p < n; ++p) {
-      for (const auto& kv : parts[p]) {
-        std::string dk = spec_.projector->Project(kv.key);
+      for (const auto& [dk, group] : structure_[p].groups()) {
         if (states_[p]->Get(dk) == nullptr) {
           states_[p]->Put(dk, spec_.init_state(dk));
         }
@@ -132,20 +128,22 @@ Status IterativeEngine::Prepare(const std::vector<KV>& structure,
     }
   }
   I2MR_RETURN_IF_ERROR(SaveStates());
-  InvalidateStructureCache();
   prepared_ = true;
   return Status::OK();
 }
 
 Status IterativeEngine::LoadExisting() {
+  structure_.assign(spec_.num_partitions, StructureIndex());
   for (int p = 0; p < spec_.num_partitions; ++p) {
     if (!FileExists(StructurePath(p))) {
       return Status::NotFound("no structure file for partition " +
                               std::to_string(p));
     }
+    auto records = ReadRecords(StructurePath(p));
+    if (!records.ok()) return records.status();
+    structure_[p].Build(std::move(*records), *spec_.projector);
     I2MR_RETURN_IF_ERROR(states_[p]->Load());
   }
-  InvalidateStructureCache();
   prepared_ = true;
   return Status::OK();
 }
@@ -163,50 +161,27 @@ StatusOr<std::string> IterativeEngine::StateValue(int p,
   return Status::NotFound("no state for DK " + dk);
 }
 
-void IterativeEngine::InvalidateStructureCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  structure_cache_.clear();
-}
-
 Status IterativeEngine::ForEachStructureRecord(
     int p, const std::function<Status(const std::string&, const std::string&,
                                       const std::string&, const std::string&)>&
                fn) const {
-  // Loop-invariant structure data is parsed once and kept in memory across
-  // iterations when cache_parsed_structure is on (iterMR: long-lived jobs).
-  std::shared_ptr<const std::vector<KV>> records;
-  if (spec_.cache_parsed_structure) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (structure_cache_.size() != static_cast<size_t>(spec_.num_partitions)) {
-      structure_cache_.assign(spec_.num_partitions, nullptr);
-    }
-    records = structure_cache_[p];
+  const StructureIndex* index = &structure_[p];
+  StructureIndex parsed;
+  if (!spec_.cache_parsed_structure) {
+    // Ablation baseline: re-read and re-parse the partition file.
+    auto records = ReadRecords(StructurePath(p));
+    if (!records.ok()) return records.status();
+    parsed.Build(std::move(*records), *spec_.projector);
+    index = &parsed;
   }
-  if (records == nullptr) {
-    auto loaded = ReadRecords(StructurePath(p));
-    if (!loaded.ok()) return loaded.status();
-    records = std::make_shared<const std::vector<KV>>(std::move(*loaded));
-    if (spec_.cache_parsed_structure) {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      structure_cache_[p] = records;
+  // Records are grouped by project(SK): one state lookup per DK group (the
+  // single-pass merge-join of §4.3).
+  for (const auto& [dk, group] : index->groups()) {
+    auto dv = StateValue(p, dk);
+    if (!dv.ok()) return dv.status();
+    for (const KV& kv : group) {
+      I2MR_RETURN_IF_ERROR(fn(kv.key, kv.value, dk, *dv));
     }
-  }
-
-  std::string cached_dk;
-  std::string cached_dv;
-  bool have_cached = false;
-  for (const KV& kv : *records) {
-    std::string dk = spec_.projector->Project(kv.key);
-    // Records are sorted by project(SK): consecutive records usually share
-    // the DK, so cache the last lookup (the single-pass merge-join of §4.3).
-    if (!have_cached || dk != cached_dk) {
-      auto dv = StateValue(p, dk);
-      if (!dv.ok()) return dv.status();
-      cached_dv = std::move(dv.value());
-      cached_dk = dk;
-      have_cached = true;
-    }
-    I2MR_RETURN_IF_ERROR(fn(kv.key, kv.value, dk, cached_dv));
   }
   return Status::OK();
 }
@@ -388,16 +363,45 @@ StatusOr<std::vector<IterationStats>> IterativeEngine::Run() {
 
 StatusOr<std::vector<KV>> IterativeEngine::StateSnapshot() const {
   std::vector<KV> out;
-  if (all_to_one()) {
-    // Every partition holds a replica; partition 0 is representative.
-    return states_[0]->Snapshot();
-  }
-  for (const auto& s : states_) {
-    auto snap = s->Snapshot();
-    out.insert(out.end(), snap.begin(), snap.end());
-  }
-  std::sort(out.begin(), out.end());
+  VisitState([&](const std::string& dk, const std::string& dv) {
+    out.push_back(KV{dk, dv});
+  });
   return out;
+}
+
+void IterativeEngine::VisitState(
+    const std::function<void(const std::string&, const std::string&)>& fn)
+    const {
+  using It = std::map<std::string, std::string>::const_iterator;
+  struct Cursor {
+    It it, end;
+  };
+  // Every partition of an all-to-one app holds a replica; partition 0 is
+  // representative.
+  const size_t n = all_to_one() ? 1 : states_.size();
+  std::vector<Cursor> heap;
+  heap.reserve(n);
+  for (size_t p = 0; p < n; ++p) {
+    const auto& items = states_[p]->items();
+    if (!items.empty()) heap.push_back(Cursor{items.begin(), items.end()});
+  }
+  // Min-heap on (DK, DV): the order a sort of the concatenated partitions
+  // would give.
+  auto after = [](const Cursor& a, const Cursor& b) {
+    return std::tie(a.it->first, a.it->second) >
+           std::tie(b.it->first, b.it->second);
+  };
+  std::make_heap(heap.begin(), heap.end(), after);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Cursor& c = heap.back();
+    fn(c.it->first, c.it->second);
+    if (++c.it == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
+  }
 }
 
 }  // namespace i2mr

@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "common/status.h"
 #include "core/projector.h"
 #include "core/state_store.h"
+#include "core/structure_index.h"
 #include "mr/cluster.h"
 #include "mr/shuffle.h"
 
@@ -76,9 +76,11 @@ struct IterJobSpec {
   /// (vertices without in-links still re-score to 1-d).
   bool reduce_untouched_keys = false;
 
-  /// Keep the parsed structure records in memory across iterations (the
-  /// iterMR optimization: jobs stay alive, so loop-invariant structure data
-  /// is read and parsed once instead of per iteration).
+  /// Full iterations map over the resident structure index (the iterMR
+  /// optimization: jobs stay alive, so loop-invariant structure data is
+  /// read and parsed once instead of per iteration). Off re-reads and
+  /// re-parses each partition's structure file every iteration (the
+  /// design ablation's baseline).
   bool cache_parsed_structure = true;
 
   /// How map output reaches the prime Reduce (see shuffle.h). kInMemory
@@ -123,13 +125,15 @@ class IterativeEngine {
 
   /// Dependency-aware partitioning pre-step (§4.3): distribute structure
   /// kv-pairs by hash(project(SK)) and state kv-pairs by hash(DK) (all-to-one
-  /// apps: structure by hash(SK), state replicated), write per-partition
-  /// structure files sorted in project(SK) order, initialize state stores.
+  /// apps: structure by hash(SK), state replicated), build the resident
+  /// per-partition structure index, write it as structure files in
+  /// project(SK) order, initialize state stores.
   Status Prepare(const std::vector<KV>& structure,
                  const std::vector<KV>& initial_state);
 
-  /// Reload previously prepared partition state from disk. (Virtual: the
-  /// incremental engine also reloads its cross-shard remote-edge inbox.)
+  /// Reload previously prepared partition state from disk and rebuild the
+  /// structure index from the structure files. (Virtual: the incremental
+  /// engine also reloads its cross-shard remote-edge inbox.)
   virtual Status LoadExisting();
 
   /// Run full iterations to convergence (iterMR). One job startup charge.
@@ -138,20 +142,30 @@ class IterativeEngine {
   /// Current state across partitions, sorted by DK.
   StatusOr<std::vector<KV>> StateSnapshot() const;
 
+  /// Visit the current state in DK order without copying it: a k-way merge
+  /// of the per-partition sorted state maps (partition 0 alone for
+  /// all-to-one apps, whose partitions are replicas).
+  void VisitState(
+      const std::function<void(const std::string& dk, const std::string& dv)>&
+          fn) const;
+
   std::string PartitionDir(int p) const;
   std::string StructurePath(int p) const;
   std::string StatePath(int p) const;
   const IterJobSpec& spec() const { return spec_; }
   StateStore* state(int p) { return states_[p].get(); }
+  /// Partition p's resident structure index (read-only between refreshes).
+  const StructureIndex& structure(int p) const { return structure_[p]; }
 
  protected:
   /// One full-recomputation iteration over all structure records.
   StatusOr<IterationStats> RunFullIteration(int iter);
 
-  /// Map-side join of one partition's structure file with its state store,
-  /// invoking `fn(sk, sv, dk, dv)` per structure record. Reads the local
-  /// structure file sequentially (structure caching: local FS, no DFS read,
-  /// no shuffle of structure data).
+  /// Map-side join of one partition's structure with its state store,
+  /// invoking `fn(sk, sv, dk, dv)` per structure record in (project(SK),
+  /// SK, SV) order. Walks the resident structure index (structure caching:
+  /// local, no DFS read, no shuffle of structure data), one state lookup
+  /// per DK group.
   Status ForEachStructureRecord(
       int p, const std::function<Status(const std::string& sk,
                                         const std::string& sv,
@@ -166,9 +180,6 @@ class IterativeEngine {
     return spec_.projector->dep_type() == DepType::kAllToOne;
   }
   Status SaveStates();
-
-  /// Drop cached parsed structure (call after rewriting structure files).
-  void InvalidateStructureCache();
 
   /// Resolve the state value for dk in partition p (store value or
   /// init_state fallback).
@@ -193,14 +204,10 @@ class IterativeEngine {
   LocalCluster* cluster_;
   IterJobSpec spec_;
   std::vector<std::unique_ptr<StateStore>> states_;
+  /// Per partition: the resident structure, mirrored by StructurePath(p).
+  /// Mutated only between iterations; map tasks read it concurrently.
+  std::vector<StructureIndex> structure_;
   bool prepared_ = false;
-
- private:
-  /// Lazily filled per-partition parsed structure cache (see
-  /// IterJobSpec::cache_parsed_structure). Guarded by cache_mu_ only during
-  /// the fill; reads happen after the fill completes.
-  mutable std::vector<std::shared_ptr<const std::vector<KV>>> structure_cache_;
-  mutable std::mutex cache_mu_;
 };
 
 }  // namespace i2mr

@@ -61,6 +61,10 @@ void ResultStore::Put(const std::string& k3, const std::string& v3) {
   results_[k3] = v3;
 }
 
+void ResultStore::PutSorted(const std::string& k3, const std::string& v3) {
+  results_.insert_or_assign(results_.end(), k3, v3);
+}
+
 const std::string* ResultStore::Get(const std::string& k3) const {
   auto it = results_.find(k3);
   return it == results_.end() ? nullptr : &it->second;

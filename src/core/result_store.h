@@ -29,6 +29,9 @@ class ResultStore {
 
   /// Direct access for the accumulator path (K3 keyed, no instance map).
   void Put(const std::string& k3, const std::string& v3);
+  /// Put for keys arriving in ascending order: an end-hinted insert, O(1)
+  /// amortized instead of a tree search (bulk builds from sorted input).
+  void PutSorted(const std::string& k3, const std::string& v3);
   const std::string* Get(const std::string& k3) const;
 
   /// All current results, sorted by K3.

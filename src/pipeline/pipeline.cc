@@ -605,13 +605,18 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // (so the long-lived serving object never points into the .tmp dir),
   // persisted into the tmp dir via SaveAs. Built now, while failures are
   // still safe to report — past the CURRENT rename nothing may fail.
-  auto snapshot = engine_->StateSnapshot();
-  if (!snapshot.ok()) return snapshot.status();
   auto serving_store = ResultStore::Open(JoinPath(final_dir, "serving.dat"));
   if (!serving_store.ok()) return serving_store.status();
-  for (const auto& kv : *snapshot) serving_store->Put(kv.key, kv.value);
-  I2MR_RETURN_IF_ERROR(serving_store->SaveAs(JoinPath(tmp, "serving.dat")));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncFile(JoinPath(tmp, "serving.dat")));
+  {
+    // Built straight from the engine's per-partition sorted state maps (a
+    // k-way merge), not from a copied and re-sorted snapshot.
+    TRACE_SPAN("epoch.serving_snapshot");
+    engine_->VisitState([&](const std::string& dk, const std::string& dv) {
+      serving_store->PutSorted(dk, dv);
+    });
+    I2MR_RETURN_IF_ERROR(serving_store->SaveAs(JoinPath(tmp, "serving.dat")));
+    if (sync) I2MR_RETURN_IF_ERROR(SyncFile(JoinPath(tmp, "serving.dat")));
+  }
 
   I2MR_RETURN_IF_ERROR(WriteManifest(JoinPath(tmp, kManifestFile), epoch,
                                      watermark, options_.generation, sync));

@@ -326,6 +326,9 @@ class Pipeline {
                                   uint64_t* watermark, uint64_t* generation);
 
   uint64_t committed_epoch() const { return committed_epoch_.load(); }
+  /// A failed epoch left the engine's working state diverged from the
+  /// committed snapshot; the next epoch restores it first.
+  bool dirty() const { return dirty_.load(); }
   /// Partition-map generation this pipeline stamps into its manifests.
   uint64_t generation() const { return options_.generation; }
   uint64_t committed_watermark() const { return committed_watermark_.load(); }

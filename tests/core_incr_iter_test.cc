@@ -1,9 +1,13 @@
 // Tests for the incremental iterative engine (§5 + §6): refresh equivalence
 // with full re-computation, change propagation control, P∆ auto turn-off,
-// checkpointing and fault recovery.
+// checkpointing and fault recovery, and parity of the resident structure
+// index with the sort-based structure maintenance it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -12,10 +16,13 @@
 #include "apps/pagerank.h"
 #include "apps/sssp.h"
 #include "common/codec.h"
+#include "common/hash.h"
 #include "core/incr_iter_engine.h"
 #include "data/graph_gen.h"
 #include "data/matrix_gen.h"
 #include "data/points_gen.h"
+#include "io/env.h"
+#include "io/record_file.h"
 #include "mr/cluster.h"
 
 namespace i2mr {
@@ -470,6 +477,203 @@ TEST_F(CoreIncrIterTest, SecondRefreshContinuesFromFirst) {
   auto state = engine.StateSnapshot();
   ASSERT_TRUE(state.ok());
   EXPECT_LT(pagerank::MeanError(*state, reference), 1e-4);
+}
+
+// ---------------------------------------------------------------------------
+// Resident structure index parity
+// ---------------------------------------------------------------------------
+
+// Counts structure records per DK. The difference is always 0, so every run
+// stops after one iteration: a refresh exercises the structure path (apply,
+// rewrite, one full map pass over the index) and accepts any SV.
+class CountMapper : public IterMapper {
+ public:
+  void Map(const std::string&, const std::string&, const std::string& dk,
+           const std::string&, MapContext* ctx) override {
+    ctx->Emit(dk, "1");
+  }
+};
+
+class CountReducer : public IterReducer {
+ public:
+  std::string Reduce(const std::string&,
+                     const std::vector<std::string_view>& values,
+                     const std::string*) override {
+    return std::to_string(values.size());
+  }
+};
+
+IterJobSpec CountSpec(const std::string& name, int partitions,
+                      std::shared_ptr<Projector> projector) {
+  IterJobSpec spec;
+  spec.name = name;
+  spec.num_partitions = partitions;
+  spec.projector = std::move(projector);
+  spec.mapper = [] { return std::make_unique<CountMapper>(); };
+  spec.reducer = [] { return std::make_unique<CountReducer>(); };
+  spec.difference = [](const std::string&, const std::string&) { return 0.0; };
+  spec.init_state = [](const std::string&) { return std::string("0"); };
+  return spec;
+}
+
+// The structure maintenance the resident index replaced, kept as the
+// reference: per partition, push_back inserts and find-and-erase deletes in
+// log order, then a full sort on (project(SK), SK, SV).
+class SortedStructureReference {
+ public:
+  SortedStructureReference(int partitions, std::shared_ptr<Projector> projector)
+      : projector_(std::move(projector)), parts_(partitions) {}
+
+  void Insert(const KV& kv) { parts_[PartitionOf(kv.key)].push_back(kv); }
+
+  void Apply(const std::vector<DeltaKV>& batch) {
+    for (const auto& d : batch) {
+      auto& part = parts_[PartitionOf(d.key)];
+      KV kv{d.key, d.value};
+      if (d.op == DeltaOp::kDelete) {
+        auto it = std::find(part.begin(), part.end(), kv);
+        if (it != part.end()) part.erase(it);
+      } else {
+        part.push_back(kv);
+      }
+    }
+    Sort();
+  }
+
+  void Sort() {
+    for (auto& part : parts_) {
+      std::sort(part.begin(), part.end(), [&](const KV& a, const KV& b) {
+        std::string pa = projector_->Project(a.key);
+        std::string pb = projector_->Project(b.key);
+        if (pa != pb) return pa < pb;
+        return a < b;
+      });
+    }
+  }
+
+  const std::vector<KV>& part(int p) const { return parts_[p]; }
+
+ private:
+  uint32_t PartitionOf(const std::string& sk) const {
+    const bool all_to_one = projector_->dep_type() == DepType::kAllToOne;
+    return static_cast<uint32_t>(
+        Hash64(all_to_one ? sk : projector_->Project(sk)) % parts_.size());
+  }
+
+  std::shared_ptr<Projector> projector_;
+  std::vector<std::vector<KV>> parts_;
+};
+
+std::vector<KV> IndexOrder(const StructureIndex& index,
+                           const Projector& projector) {
+  std::vector<KV> out;
+  for (const auto& [dk, group] : index.groups()) {
+    for (const auto& kv : group) {
+      EXPECT_EQ(projector.Project(kv.key), dk) << "record in the wrong group";
+      out.push_back(kv);
+    }
+  }
+  return out;
+}
+
+std::string FileBytes(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << path;
+  return bytes.ok() ? *bytes : std::string();
+}
+
+void CheckIndexParity(const std::string& root, const std::string& name,
+                      std::shared_ptr<Projector> projector) {
+  constexpr int kPartitions = 3;
+  LocalCluster cluster(root, 2);
+  IncrIterOptions options;
+  options.maintain_mrbg = false;
+  const IterJobSpec spec = CountSpec(name, kPartitions, projector);
+  IncrementalIterativeEngine engine(&cluster, spec, options);
+  SortedStructureReference reference(kPartitions, projector);
+
+  // A small key and value universe, so batches collide: duplicate records,
+  // re-inserts and deletes of records with no copy left.
+  std::mt19937 rng(7);
+  auto random_record = [&]() {
+    return KV{"k" + std::to_string(10 + rng() % 40),
+              std::string(1, static_cast<char>('a' + rng() % 3))};
+  };
+  std::vector<KV> structure;
+  for (int i = 0; i < 80; ++i) structure.push_back(random_record());
+  for (const auto& kv : structure) reference.Insert(kv);
+  reference.Sort();
+  ASSERT_TRUE(engine.RunInitial(structure, {}).ok());
+
+  const std::string ref_path = JoinPath(root, "reference.dat");
+  auto check = [&](const std::string& when) {
+    IncrementalIterativeEngine reloaded(&cluster, spec, options);
+    ASSERT_TRUE(reloaded.LoadExisting().ok()) << when;
+    for (int p = 0; p < kPartitions; ++p) {
+      SCOPED_TRACE(when + ", partition " + std::to_string(p));
+      const auto& want = reference.part(p);
+      ASSERT_TRUE(WriteRecords(ref_path, want).ok());
+      const std::string want_bytes = FileBytes(ref_path);
+      EXPECT_EQ(IndexOrder(engine.structure(p), *projector), want);
+      EXPECT_EQ(FileBytes(engine.StructurePath(p)), want_bytes);
+      EXPECT_EQ(IndexOrder(reloaded.structure(p), *projector), want);
+      ASSERT_TRUE(reloaded.structure(p).Write(ref_path).ok());
+      EXPECT_EQ(FileBytes(ref_path), want_bytes);
+    }
+  };
+  check("after prepare");
+
+  for (int round = 0; round < 8; ++round) {
+    std::vector<DeltaKV> batch;
+    for (int i = 0; i < 30; ++i) {
+      KV kv = random_record();
+      DeltaOp op = rng() % 2 == 0 ? DeltaOp::kInsert : DeltaOp::kDelete;
+      batch.push_back(DeltaKV{op, kv.key, kv.value});
+    }
+    // Duplicate insert of one record.
+    KV dup = random_record();
+    batch.push_back(DeltaKV{DeltaOp::kInsert, dup.key, dup.value});
+    batch.push_back(DeltaKV{DeltaOp::kInsert, dup.key, dup.value});
+    // Ops apply in log order: delete-then-insert of a present record keeps
+    // one copy, insert-then-delete of an absent record leaves none, and
+    // delete-then-insert of an absent record warns, then inserts it.
+    const KV& present = reference.part(round % kPartitions).empty()
+                            ? dup
+                            : reference.part(round % kPartitions).front();
+    batch.push_back(DeltaKV{DeltaOp::kDelete, present.key, present.value});
+    batch.push_back(DeltaKV{DeltaOp::kInsert, present.key, present.value});
+    const std::string fresh_value = "new" + std::to_string(round);
+    batch.push_back(DeltaKV{DeltaOp::kInsert, "k20", fresh_value});
+    batch.push_back(DeltaKV{DeltaOp::kDelete, "k20", fresh_value});
+    batch.push_back(DeltaKV{DeltaOp::kDelete, "k21", fresh_value});
+    batch.push_back(DeltaKV{DeltaOp::kInsert, "k21", fresh_value});
+    // Delete of a record that never existed: warns, changes nothing.
+    batch.push_back(DeltaKV{DeltaOp::kDelete, "k31", "never"});
+    std::shuffle(batch.begin(), batch.end() - 9, rng);
+
+    reference.Apply(batch);
+    auto refresh = engine.RunIncremental(batch);
+    ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+    check("after batch " + std::to_string(round));
+  }
+}
+
+TEST_F(CoreIncrIterTest, StructureIndexParityIdentityProjector) {
+  CheckIndexParity(root_ + "_parity_id", "parity_id",
+                   std::make_shared<IdentityProjector>());
+}
+
+TEST_F(CoreIncrIterTest, StructureIndexParityConstProjector) {
+  CheckIndexParity(root_ + "_parity_const", "parity_const",
+                   std::make_shared<ConstProjector>("centroids"));
+}
+
+TEST_F(CoreIncrIterTest, StructureIndexParityManyToOneProjector) {
+  CheckIndexParity(
+      root_ + "_parity_fn", "parity_fn",
+      std::make_shared<FnProjector>(
+          [](const std::string& sk) { return sk.substr(0, 2); },
+          DepType::kManyToOne));
 }
 
 }  // namespace

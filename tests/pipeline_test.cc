@@ -18,6 +18,7 @@
 #include "data/graph_gen.h"
 #include "data/points_gen.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "io/record_file.h"
 #include "mr/cluster.h"
 #include "pipeline/delta_log.h"
@@ -1004,6 +1005,66 @@ TEST_F(PipelineTest, InProcessRetryAfterCommitStageFailureSucceeds) {
   EXPECT_EQ(retry->epoch, 1u);
   EXPECT_EQ(retry->deltas_applied, 1u);
   EXPECT_TRUE((*pipeline)->Lookup(v(3)).ok());
+}
+
+TEST_F(PipelineTest, StructureWriteFailureRollsBackMutatedIndex) {
+  // A refresh that fails while rewriting one partition's structure.dat has
+  // already applied its batch to the resident structure index. The epoch
+  // must fail and leave the pipeline dirty; the next epoch must restore
+  // the committed snapshot (rebuilding the index from it) and reach exactly
+  // the state of a fault-free twin.
+  LocalCluster cluster(root_, 2);
+  GraphGenOptions gen;
+  gen.num_vertices = 200;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+  PipelineOptions options = PageRankPipeline();
+  options.spec.num_partitions = 2;
+  auto faulty = Pipeline::Open(&cluster, "pr_faulty", options);
+  auto twin = Pipeline::Open(&cluster, "pr_twin", options);
+  ASSERT_TRUE(faulty.ok() && twin.ok());
+  ASSERT_TRUE((*faulty)->Bootstrap(graph, UnitState(graph)).ok());
+  ASSERT_TRUE((*twin)->Bootstrap(graph, UnitState(graph)).ok());
+
+  for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    GraphDeltaOptions dopt;
+    dopt.update_fraction = 0.1;
+    dopt.insert_fraction = 0.02;
+    dopt.delete_fraction = 0.02;
+    dopt.seed = 60 + epoch;
+    auto delta = GenGraphDelta(gen, dopt, &graph);
+    std::vector<DeltaKV> batch(delta.begin(), delta.end());
+    ASSERT_TRUE((*twin)->AppendBatch(batch).ok());
+    ASSERT_TRUE((*twin)->RunEpoch().ok());
+    ASSERT_TRUE((*faulty)->AppendBatch(batch).ok());
+    if (epoch == 1) {
+      auto* faults = fault::FaultInjector::Instance();
+      ASSERT_TRUE(faults
+                      ->LoadSpec("op=append,kind=eio,path=state/pr_faulty/"
+                                 "part-000/structure.dat")
+                      .ok());
+      auto failed = (*faulty)->RunEpoch();
+      faults->Reset();
+      ASSERT_FALSE(failed.ok());
+      EXPECT_NE(failed.status().ToString().find("structure.dat"),
+                std::string::npos)
+          << failed.status().ToString();
+      EXPECT_TRUE((*faulty)->dirty());
+      EXPECT_EQ((*faulty)->committed_epoch(), 0u);
+      EXPECT_EQ((*faulty)->pending(), batch.size());
+    }
+    auto stats = (*faulty)->RunEpoch();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->epoch, epoch);
+    EXPECT_FALSE((*faulty)->dirty());
+    EXPECT_EQ((*faulty)->ServingSnapshot(), (*twin)->ServingSnapshot());
+    for (int p = 0; p < 2; ++p) {
+      EXPECT_EQ(
+          *ReadFileToString((*faulty)->engine()->StructurePath(p)),
+          *ReadFileToString((*twin)->engine()->StructurePath(p)));
+    }
+  }
 }
 
 TEST_F(PipelineTest, AppendsAfterRestartOfFullyPurgedLogAreNotSkipped) {
