@@ -44,20 +44,25 @@ void BM_ChunkDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkDecode)->Arg(4)->Arg(32)->Arg(256);
 
-void BM_ApplyDelta(benchmark::State& state) {
+void BM_ChunkMerge(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  Chunk base = MakeChunk("k", n, 16);
+  std::string old;
+  EncodeChunk(MakeChunk("k", n, 16), &old);
   std::vector<DeltaEdge> deltas;
   for (int i = 0; i < n / 4 + 1; ++i) {
-    deltas.push_back(DeltaEdge{"k", static_cast<uint64_t>(i * 7 + 1), "upd", false});
+    deltas.push_back(
+        DeltaEdge{"", static_cast<uint64_t>(i * 7 + 1), "upd", false});
   }
+  ChunkMerger merger;
+  std::string frame;
+  std::vector<std::string_view> values;
   for (auto _ : state) {
-    Chunk c = base;
-    ApplyDeltaToChunk(deltas, &c);
-    benchmark::DoNotOptimize(c);
+    I2MR_CHECK_OK(merger.Merge("k", old, deltas, &frame, &values));
+    benchmark::DoNotOptimize(frame.data());
   }
+  state.SetBytesProcessed(state.iterations() * old.size());
 }
-BENCHMARK(BM_ApplyDelta)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_ChunkMerge)->Arg(8)->Arg(64)->Arg(512);
 
 /// range(0) = ReadMode, range(1) = layout (0 raw / 1 log-structured), so
 /// every store benchmark reports the paper-parity raw layout and the
@@ -124,11 +129,12 @@ BENCHMARK_REGISTER_F(StoreFixture, QuerySweep)
 BENCHMARK_DEFINE_F(StoreFixture, MergeGroups)(benchmark::State& state) {
   for (auto _ : state) {
     I2MR_CHECK_OK(store_->PrepareQueries(keys_));
-    Chunk merged;
+    std::string frame;
+    std::vector<std::string_view> values;
     for (const auto& k : keys_) {
-      std::vector<DeltaEdge> deltas = {{k, 1, "new-value", false},
-                                       {k, 8, "", true}};
-      I2MR_CHECK_OK(store_->MergeGroup(k, deltas, &merged));
+      std::vector<DeltaEdge> deltas = {{"", 1, "new-value", false},
+                                       {"", 8, "", true}};
+      I2MR_CHECK_OK(store_->MergeGroup(k, deltas, &frame, &values));
     }
     I2MR_CHECK_OK(store_->FinishBatch());
   }

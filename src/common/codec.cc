@@ -1,6 +1,8 @@
 #include "common/codec.h"
 
+#include <charconv>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -26,20 +28,33 @@ StatusOr<uint64_t> ParseNum(std::string_view s) {
 }
 
 StatusOr<double> ParseDouble(std::string_view s) {
+  // Fast path: a plain decimal that from_chars consumes whole into a normal
+  // number parses to the same correctly rounded value strtod gives. All else
+  // (whitespace, '+', hex, inf/nan, zero, subnormal, out of range, trailing
+  // bytes) takes the strtod path, so the accepted inputs and the values are
+  // exactly strtod's.
+  double d;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), d);
+  if (ec == std::errc() && end == s.data() + s.size() && std::isnormal(d)) {
+    return d;
+  }
   std::string tmp(s);
   errno = 0;
-  char* end = nullptr;
-  double d = std::strtod(tmp.c_str(), &end);
-  if (end != tmp.c_str() + tmp.size() || errno == ERANGE) {
+  char* stop = nullptr;
+  d = std::strtod(tmp.c_str(), &stop);
+  if (stop != tmp.c_str() + tmp.size() || errno == ERANGE) {
     return Status::InvalidArgument("bad double: " + tmp);
   }
   return d;
 }
 
 std::string FormatDouble(double d) {
+  // Byte-identical to printf("%.17g") (nan/inf spelled the same), without
+  // printf's format parsing and locale lookups.
   char buf[40];
-  int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return std::string(buf, n);
+  auto res = std::to_chars(buf, buf + sizeof(buf), d,
+                           std::chars_format::general, 17);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace i2mr

@@ -32,6 +32,10 @@ inline void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
+inline void EncodeFixed32(char* dst, uint32_t v) {
+  std::memcpy(dst, &v, 4);  // little-endian hosts only (x86/arm64).
+}
+
 inline uint32_t DecodeFixed32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);  // little-endian hosts only (x86/arm64).

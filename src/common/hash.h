@@ -31,6 +31,18 @@ inline uint32_t Crc32(std::string_view s, uint32_t seed = 0) {
   return Crc32(s.data(), s.size(), seed);
 }
 
+/// 32-bit frame checksum: the XXH32 algorithm (seed 0), read a little-endian
+/// 32-bit word at a time over four independent lanes. Every step is a
+/// bijection of the running state and of the word it absorbs, so any change
+/// confined to one aligned 4-byte word — every single-bit flip included — is
+/// always detected. Frames MRBG chunks and tombstones; stable across
+/// platforms and runs — do not change without bumping the frame magics.
+uint32_t Checksum32(const void* data, size_t n);
+
+inline uint32_t Checksum32(std::string_view s) {
+  return Checksum32(s.data(), s.size());
+}
+
 }  // namespace i2mr
 
 #endif  // I2MR_COMMON_HASH_H_

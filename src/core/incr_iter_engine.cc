@@ -128,14 +128,21 @@ Status IncrementalIterativeEngine::OpenStores() {
   return Status::OK();
 }
 
+namespace {
+
+void AddStoreStats(const MRBGStoreStats& ss, IncrIterRunStats* stats) {
+  stats->store_io_reads += ss.io_reads;
+  stats->store_bytes_read += ss.bytes_read;
+  stats->store_bytes_appended += ss.bytes_appended;
+  stats->store_compaction_passes += ss.compaction_passes;
+}
+
+}  // namespace
+
 Status IncrementalIterativeEngine::CloseStores(IncrIterRunStats* stats) {
   for (auto& s : stores_) {
     if (s == nullptr) continue;
-    if (stats != nullptr) {
-      MRBGStoreStats ss = s->stats();
-      stats->store_io_reads += ss.io_reads;
-      stats->store_bytes_read += ss.bytes_read;
-    }
+    if (stats != nullptr) AddStoreStats(s->stats(), stats);
     I2MR_RETURN_IF_ERROR(s->PersistIndex());
     I2MR_RETURN_IF_ERROR(s->Close());
   }
@@ -146,12 +153,8 @@ Status IncrementalIterativeEngine::CloseStores(IncrIterRunStats* stats) {
 Status IncrementalIterativeEngine::CollectStoreStats(IncrIterRunStats* stats) {
   for (auto& s : stores_) {
     if (s == nullptr) continue;
-    MRBGStoreStats ss = s->stats();
-    if (stats != nullptr) {
-      stats->store_io_reads += ss.io_reads;
-      stats->store_bytes_read += ss.bytes_read;
-    }
-    s->ResetStats();
+    MRBGStoreStats ss = s->ResetStats();
+    if (stats != nullptr) AddStoreStats(ss, stats);
     I2MR_RETURN_IF_ERROR(s->PersistIndex());
   }
   return Status::OK();
@@ -539,7 +542,6 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
           for (const auto& enc : values) {
             DeltaEdge e;
             I2MR_RETURN_IF_ERROR(DecodeEdgeValue(enc, &e));
-            e.k2.assign(key);
             edges.push_back(std::move(e));
           }
           groups.emplace_back(std::string(key), std::move(edges));
@@ -588,16 +590,13 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
       double local_diff = 0;
       {
         ScopedTimer t(&metrics.reduce_ns);
+        std::string frame;
         std::vector<std::string_view> values;
         for (const auto& [dk, edges] : groups) {
-          Chunk merged;
           {
             ScopedTimer mt(&merge_ns);
-            I2MR_RETURN_IF_ERROR(store->MergeGroup(dk, edges, &merged));
+            I2MR_RETURN_IF_ERROR(store->MergeGroup(dk, edges, &frame, &values));
           }
-          values.clear();
-          values.reserve(merged.entries.size());
-          for (const auto& e : merged.entries) values.push_back(e.v2);
           // Cross-shard: the reduce input is the union of the preserved
           // local MRBGraph values and the routed-in remote edges.
           AppendRemoteValues(r, dk, &values);

@@ -100,6 +100,10 @@ struct IncrIterRunStats {
   /// Aggregated MRBG-Store statistics across partitions and iterations.
   uint64_t store_io_reads = 0;
   uint64_t store_bytes_read = 0;
+  /// MRBG write volume: chunk bytes appended by the merges, and background
+  /// compaction passes completed in the same window.
+  uint64_t store_bytes_appended = 0;
+  uint64_t store_compaction_passes = 0;
   double total_ms() const {
     double t = 0;
     for (const auto& it : iterations) t += it.wall_ms;
@@ -197,9 +201,9 @@ class IncrementalIterativeEngine : public IterativeEngine {
   /// compactor genuinely overlaps epoch commits.
   Status OpenStores();
   Status CloseStores(IncrIterRunStats* stats);
-  /// Per-refresh stat harvest for resident stores: fold the read counters
-  /// into `stats`, persist the index/manifest, reset the counters — but
-  /// keep the stores (and their compactors) open.
+  /// Per-refresh stat harvest for resident stores: fold the read and write
+  /// counters into `stats`, persist the index/manifest, reset the counters
+  /// — but keep the stores (and their compactors) open.
   Status CollectStoreStats(IncrIterRunStats* stats);
 
   Status Checkpoint(int iteration);

@@ -329,7 +329,6 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
         for (const auto& enc : value_views) {
           DeltaEdge e;
           I2MR_RETURN_IF_ERROR(DecodeEdgeValue(enc, &e));
-          e.k2.assign(key_view);
           edges.push_back(std::move(e));
         }
         delta_groups.emplace_back(std::string(key_view), std::move(edges));
@@ -346,18 +345,18 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
       auto reducer = spec_.reducer();
       {
         ScopedTimer t(&metrics->reduce_ns);
+        std::string frame;
+        std::vector<std::string_view> merged;
         for (const auto& [k2, edges] : delta_groups) {
-          Chunk merged;
           {
             ScopedTimer mt(&merge_ns);
-            I2MR_RETURN_IF_ERROR(store.value()->MergeGroup(k2, edges, &merged));
+            I2MR_RETURN_IF_ERROR(
+                store.value()->MergeGroup(k2, edges, &frame, &merged));
           }
           if (merged.empty()) {
             results->EraseInstance(k2);
           } else {
-            std::vector<std::string> v2s;
-            v2s.reserve(merged.entries.size());
-            for (const auto& e : merged.entries) v2s.push_back(e.v2);
+            std::vector<std::string> v2s(merged.begin(), merged.end());
             VectorReduceContext ctx;
             reducer->Reduce(k2, v2s, &ctx);
             results->SetInstanceOutputs(k2, ctx.Take());

@@ -2,8 +2,14 @@
 // intermediate edges (K2, MK, V2) of one Reduce instance, stored
 // contiguously:
 //
-//   [u32 magic][u32 payload_len][payload][u32 crc32-of-payload]
+//   [u32 magic][u32 payload_len][payload][u32 checksum-of-payload]
 //   payload = [u32 key_len][key][u32 count] ([u64 mk][u32 vlen][v2])*
+//
+// The magic is 0x4d524232 ("MRB2") for a chunk and 0x4d525432 ("MRT2") for
+// a tombstone, whose payload is the key alone. The checksum is Checksum32
+// (XXH32, common/hash.h) of the payload. Frames of the first format (magics
+// "MRBG"/"MRBT", checksum = low 32 bits of Hash64) are refused as
+// Corruption: there is no reader for them.
 //
 // Chunks are the unit of read/write/merge in the MRBG-Store.
 #ifndef I2MR_MRBG_CHUNK_H_
@@ -11,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +46,8 @@ struct Chunk {
 /// A change to the MRBGraph produced by incremental Map computation:
 /// an edge insertion/update (deleted=false) or an edge deletion ('-').
 struct DeltaEdge {
+  /// Set on cross-shard boundary edges, which travel ungrouped. A merge
+  /// group's edges leave it empty: the group carries the key.
   std::string k2;
   uint64_t mk = 0;
   std::string v2;
@@ -77,10 +86,46 @@ struct ScannedFrame {
 /// Corruption on a torn or garbled frame.
 Status ScanFrame(std::string_view data, ScannedFrame* frame);
 
-/// Apply a group of delta edges (all with k2 == chunk->key) to a chunk:
-/// deletions remove the matching MK; insertions upsert by MK (paper §3.3:
-/// "checks duplicates, inserts if no duplicate exists, else updates").
-void ApplyDeltaToChunk(const std::vector<DeltaEdge>& deltas, Chunk* chunk);
+/// The reduce-side merge of one delta group into its preserved chunk
+/// (paper §3.3-3.4), as one pass over the chunk's encoded frame. Keeps
+/// scratch buffers across calls; one merger per thread.
+class ChunkMerger {
+ public:
+  /// Merge `deltas` (all for K2 `key`, in emission order) into `old_frame`,
+  /// the preserved chunk's frame (empty: no preserved chunk). The old frame
+  /// is verified as DecodeChunk verifies it, and must hold `key`.
+  ///
+  /// Semantics per MK (paper §3.3: "checks duplicates, inserts if no
+  /// duplicate exists, else updates"): the last delta for an MK wins — a
+  /// deletion drops the entry, an insertion upserts its V2. An upserted MK
+  /// the chunk holds keeps its position (the last one, should the chunk hold
+  /// it twice); new MKs follow the old entries in first-insertion order.
+  ///
+  /// Writes the merged frame to *frame, copying untouched entry bytes as
+  /// they are, and the merged V2s in entry order to *values as views into
+  /// *frame. Both are left empty when no entry remains.
+  Status Merge(std::string_view key, std::string_view old_frame,
+               const std::vector<DeltaEdge>& deltas, std::string* frame,
+               std::vector<std::string_view>* values);
+
+ private:
+  /// The resolved effect of one MK's deltas.
+  struct Effect {
+    uint64_t mk = 0;
+    uint32_t last = 0;          // index of the MK's last delta
+    uint32_t first_insert = 0;  // index of its first insertion, or kNone
+    uint32_t hit = 0;           // payload offset of the entry it hits, or kNone
+    uint32_t old_vlen = 0;      // V2 length of that entry
+  };
+  static constexpr uint32_t kNone = ~0u;
+
+  Effect* FindEffect(uint64_t mk);
+
+  std::vector<Effect> effects_;  // sorted by MK
+  std::vector<const Effect*> hits_;  // effects that hit an entry, by offset
+  std::vector<const Effect*> news_;  // new MKs, by first insertion
+  uint64_t filter_[8] = {};  // 512-bit Bloom filter of the effect MKs
+};
 
 }  // namespace i2mr
 

@@ -479,14 +479,17 @@ Status MRBGStore::FlushAppendBufferLocked() {
 }
 
 Status MRBGStore::AppendChunkLocked(const Chunk& chunk) {
-  if (const ChunkLocation* old = index_.Lookup(chunk.key)) {
+  return IndexAppendedLocked(chunk.key, EncodeChunk(chunk, &append_buf_));
+}
+
+Status MRBGStore::IndexAppendedLocked(const std::string& key, uint32_t len) {
+  if (const ChunkLocation* old = index_.Lookup(key)) {
     live_bytes_ -= old->length;
     if (log_structured_ && old->segment == active_id_locked()) {
       live_active_bytes_ -= old->length;
     }
   }
   uint64_t offset = file_end_;
-  uint32_t len = EncodeChunk(chunk, &append_buf_);
   file_end_ += len;
   live_bytes_ += len;
   uint64_t seg = 0;
@@ -494,7 +497,7 @@ Status MRBGStore::AppendChunkLocked(const Chunk& chunk) {
     seg = active_id_locked();
     live_active_bytes_ += len;
   }
-  index_.Put(chunk.key, ChunkLocation{offset, len, open_batch_id_locked(), seg});
+  index_.Put(key, ChunkLocation{offset, len, open_batch_id_locked(), seg});
   ++stats_.chunks_appended;
   stats_.bytes_appended += len;
   if (append_buf_.size() >= options_.append_buffer_bytes) {
@@ -759,7 +762,8 @@ StatusOr<std::string_view> MRBGStore::ReadChunkBytesLocked(
   return std::string_view(w.buf.data(), loc.length);
 }
 
-StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
+Status MRBGStore::ChunkBytesLocked(const std::string& key,
+                                   std::string_view* bytes) {
   ++stats_.queries;
   // Advance the cursor to this key's position in L (queries arrive in
   // PrepareQueries order; unknown keys fall back to standalone lookups).
@@ -767,26 +771,31 @@ StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
          query_keys_[query_cursor_] < key) {
     ++query_cursor_;
   }
-
+  *bytes = std::string_view();
   const ChunkLocation* loc = index_.Lookup(key);
-  if (loc == nullptr) return Status::NotFound("no chunk for key " + key);
+  if (loc == nullptr) return Status::OK();
 
   // Chunk still sitting (entirely or partly) in the append buffer?
   bool in_active = !log_structured_ || loc->segment == active_id_locked();
   uint64_t flushed_end = file_end_ - append_buf_.size();
   if (in_active && loc->offset >= flushed_end) {
-    std::string_view view(append_buf_.data() + (loc->offset - flushed_end),
-                          loc->length);
-    Chunk chunk;
-    I2MR_RETURN_IF_ERROR(DecodeChunk(view, &chunk));
+    *bytes = std::string_view(append_buf_.data() + (loc->offset - flushed_end),
+                              loc->length);
     ++stats_.cache_hits;
-    return chunk;
+    return Status::OK();
   }
+  auto read = ReadChunkBytesLocked(*loc);
+  if (!read.ok()) return read.status();
+  *bytes = *read;
+  return Status::OK();
+}
 
-  auto bytes = ReadChunkBytesLocked(*loc);
-  if (!bytes.ok()) return bytes.status();
+StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
+  std::string_view bytes;
+  I2MR_RETURN_IF_ERROR(ChunkBytesLocked(key, &bytes));
+  if (bytes.empty()) return Status::NotFound("no chunk for key " + key);
   Chunk chunk;
-  I2MR_RETURN_IF_ERROR(DecodeChunk(*bytes, &chunk));
+  I2MR_RETURN_IF_ERROR(DecodeChunk(bytes, &chunk));
   if (chunk.key != key) {
     return Status::Corruption("index points to wrong chunk: wanted " + key +
                               " got " + chunk.key);
@@ -816,21 +825,15 @@ size_t MRBGStore::num_batches() const {
 
 Status MRBGStore::MergeGroup(const std::string& k2,
                              const std::vector<DeltaEdge>& deltas,
-                             Chunk* merged) {
+                             std::string* frame,
+                             std::vector<std::string_view>* values) {
   std::lock_guard<std::mutex> lk(mu_);
-  merged->key = k2;
-  merged->entries.clear();
-  auto existing = QueryLocked(k2);
-  if (existing.ok()) {
-    *merged = std::move(existing.value());
-  } else if (!existing.status().IsNotFound()) {
-    return existing.status();
-  }
-  ApplyDeltaToChunk(deltas, merged);
-  if (merged->empty()) {
-    return RemoveChunkLocked(k2);
-  }
-  return AppendChunkLocked(*merged);
+  std::string_view old;
+  I2MR_RETURN_IF_ERROR(ChunkBytesLocked(k2, &old));
+  I2MR_RETURN_IF_ERROR(merger_.Merge(k2, old, deltas, frame, values));
+  if (values->empty()) return RemoveChunkLocked(k2);
+  append_buf_.append(*frame);
+  return IndexAppendedLocked(k2, static_cast<uint32_t>(frame->size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -186,12 +187,14 @@ class MRBGStore {
   Status PersistIndex();
 
   /// Merge one delta group with the preserved chunk (index nested loop join
-  /// step of §3.4): loads the old chunk (if any), applies deletions and
-  /// upserts, appends the merged result (or removes it if empty) and
-  /// returns it in *merged. Must be called in sorted-K2 order after
-  /// PrepareQueries with the same key list.
+  /// step of §3.4) in one pass over the chunk's stored bytes (ChunkMerger
+  /// semantics), then append the merged chunk — or remove the chunk when no
+  /// entry remains. *frame receives the merged chunk's encoded frame and
+  /// *values its V2s as views into *frame (both empty when removed); the
+  /// caller owns both and may reuse them across calls. Must be called in
+  /// sorted-K2 order after PrepareQueries with the same key list.
   Status MergeGroup(const std::string& k2, const std::vector<DeltaEdge>& deltas,
-                    Chunk* merged);
+                    std::string* frame, std::vector<std::string_view>* values);
 
   /// Full reconstruction: rewrite the store with only live chunks in key
   /// order as a single batch (paper: "The MRBGraph file is reconstructed
@@ -236,9 +239,11 @@ class MRBGStore {
     std::lock_guard<std::mutex> lk(mu_);
     return stats_;
   }
-  void ResetStats() {
+  /// Clear the counters and return what they held, in one step under the
+  /// lock (a compaction pass finishing in between is not lost).
+  MRBGStoreStats ResetStats() {
     std::lock_guard<std::mutex> lk(mu_);
-    stats_ = MRBGStoreStats{};
+    return std::exchange(stats_, MRBGStoreStats{});
   }
   /// Logical on-disk footprint (all segments / mrbg.dat, incl. unflushed
   /// appends).
@@ -290,8 +295,14 @@ class MRBGStore {
   Status FinishBatchLocked(bool persist_index);
   Status PersistIndexLocked();
   Status AppendChunkLocked(const Chunk& chunk);
+  /// Index the `len`-byte frame for `key` just added to the append buffer.
+  Status IndexAppendedLocked(const std::string& key, uint32_t len);
   Status RemoveChunkLocked(const std::string& key);
   StatusOr<Chunk> QueryLocked(const std::string& key);
+  /// The stored frame of `key`'s live chunk — from the append buffer, the
+  /// tail cache or a read window — unverified, valid until the next read or
+  /// append; empty when the key has no live chunk.
+  Status ChunkBytesLocked(const std::string& key, std::string_view* bytes);
   Status ForEachChunkLocked(const std::function<Status(const Chunk&)>& fn);
   Status CompactRawLocked();
 
@@ -387,6 +398,7 @@ class MRBGStore {
   /// (segment << 32); index-only scratch: ~0ull).
   std::map<uint64_t, Window> windows_;
 
+  ChunkMerger merger_;
   MRBGStoreStats stats_;
 };
 

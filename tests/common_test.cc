@@ -4,6 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -165,6 +170,89 @@ TEST(CodecTest, ParseFormatDoubleRoundTrip) {
   EXPECT_FALSE(ParseDouble("abc").ok());
 }
 
+/// The strtod-only ParseDouble the from_chars fast path must agree with.
+StatusOr<double> StrtodParse(std::string_view s) {
+  std::string tmp(s);
+  errno = 0;
+  char* end = nullptr;
+  double d = std::strtod(tmp.c_str(), &end);
+  if (end != tmp.c_str() + tmp.size() || errno == ERANGE) {
+    return Status::InvalidArgument("bad double: " + tmp);
+  }
+  return d;
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, 8);
+  return b;
+}
+
+double FromBits(uint64_t b) {
+  double d;
+  std::memcpy(&d, &b, 8);
+  return d;
+}
+
+std::string Printf17g(double d) {
+  char buf[40];
+  int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return std::string(buf, n);
+}
+
+TEST(CodecTest, FormatDoubleMatchesPrintf17g) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             FromBits(0x000fffffffffffffull),  // max subnormal
+                             0.1,
+                             1e21,
+                             1e-7};
+  for (double d : specials) EXPECT_EQ(FormatDouble(d), Printf17g(d));
+  Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    const double d = FromBits(rng.Next());
+    ASSERT_EQ(FormatDouble(d), Printf17g(d)) << std::hex << Bits(d);
+  }
+}
+
+TEST(CodecTest, ParseDoubleMatchesStrtod) {
+  const char* table[] = {"",     " 1",     "+1",       "1e400",  "1e-400",
+                         "4.9e-324",        "0x1p3",    "1.5 ",   "nan",
+                         "-0",   "0",      "inf",      "-inf",   "1.",
+                         ".",    "-",      "1e",       "1e+5",   "1e-310",
+                         "0.15", "abc",    "-123456.789",
+                         "2.2250738585072014e-308"};
+  for (const char* s : table) {
+    auto got = ParseDouble(s);
+    auto want = StrtodParse(s);
+    ASSERT_EQ(got.ok(), want.ok()) << "[" << s << "]";
+    if (got.ok()) {
+      EXPECT_EQ(Bits(*got), Bits(*want)) << "[" << s << "]";
+    }
+  }
+  // Round trips of random values, and of their shortest spellings.
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) {
+    const double d = FromBits(rng.Next());
+    for (const std::string& s : {FormatDouble(d), std::to_string(d)}) {
+      auto got = ParseDouble(s);
+      auto want = StrtodParse(s);
+      ASSERT_EQ(got.ok(), want.ok()) << s;
+      if (got.ok()) {
+        ASSERT_EQ(Bits(*got), Bits(*want)) << s;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Hash
 // ---------------------------------------------------------------------------
@@ -205,6 +293,34 @@ TEST(HashTest, Crc32KnownVectorsAndSensitivity) {
     std::string t = s;
     t[i] ^= 1;
     EXPECT_NE(Crc32(t), base);
+  }
+}
+
+/// 1 KB of varied bytes.
+std::string Payload1K() {
+  std::string s(1024, '\0');
+  for (size_t i = 0; i < s.size(); ++i) s[i] = static_cast<char>(i * 31 + 7);
+  return s;
+}
+
+TEST(HashTest, Checksum32KnownVectors) {
+  // XXH32 (seed 0) reference values; the MRBG frame format depends on
+  // them, so any drift must be a deliberate format (magic) change.
+  EXPECT_EQ(Checksum32(""), 0x02cc5d05u);
+  EXPECT_EQ(Checksum32("a"), 0x550d7456u);
+  EXPECT_EQ(Checksum32("abc"), 0x32d153ffu);
+  EXPECT_EQ(Checksum32("Nobody inspects the spammish repetition"),
+            0xe2293b2fu);
+  EXPECT_EQ(Checksum32(Payload1K()), 0xead2ce3cu);
+}
+
+TEST(HashTest, Checksum32DetectsEverySingleBitFlip) {
+  const std::string payload = Payload1K();
+  const uint32_t base = Checksum32(payload);
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::string t = payload;
+    t[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    ASSERT_NE(Checksum32(t), base) << "bit " << bit;
   }
 }
 

@@ -72,6 +72,36 @@ TEST_F(CoreIncrIterTest, PageRankRefreshMatchesRecompute) {
   EXPECT_LT(pagerank::MeanError(*state, reference), 1e-4);
 }
 
+TEST_F(CoreIncrIterTest, RefreshReportsMrbgWriteVolume) {
+  LocalCluster cluster(root_, 4);
+  GraphGenOptions gen;
+  gen.num_vertices = 300;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+  IncrIterOptions options;
+  options.mrbg_auto_off_ratio = 2;
+  // Raw layout, no compaction: the store only grows by the chunk bytes it
+  // appends, so its footprint growth is its own bytes_appended counter.
+  options.store_options.log_structured = false;
+  options.store_options.background_compaction = false;
+  IncrementalIterativeEngine engine(
+      &cluster, pagerank::MakeIterSpec("pr_wvol", 4, 60, 1e-6), options);
+  ASSERT_TRUE(engine.RunInitial(graph, UnitState(graph)).ok());
+  auto before = engine.MrbgFileBytes();
+  ASSERT_TRUE(before.ok());
+
+  GraphDeltaOptions dopt;
+  dopt.update_fraction = 0.05;
+  auto refresh = engine.RunIncremental(GenGraphDelta(gen, dopt, &graph));
+  ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+  ASSERT_FALSE(refresh->mrbg_turned_off);
+  auto after = engine.MrbgFileBytes();
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(refresh->store_bytes_appended, 0u);
+  EXPECT_EQ(refresh->store_bytes_appended, *after - *before);
+  EXPECT_EQ(refresh->store_compaction_passes, 0u);
+}
+
 TEST_F(CoreIncrIterTest, RefreshTouchesFarFewerMapInstancesThanFullRun) {
   LocalCluster cluster(root_, 4);
   GraphGenOptions gen;

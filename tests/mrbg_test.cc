@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/codec.h"
+#include "common/hash.h"
+#include "common/random.h"
 #include "io/env.h"
 #include "mrbg/chunk.h"
 #include "mrbg/chunk_index.h"
@@ -24,6 +28,112 @@ Chunk MakeChunk(const std::string& key, int n_entries, uint64_t mk_base = 100,
     c.entries.push_back(ChunkEntry{mk_base + i, v_prefix + std::to_string(i)});
   }
   return c;
+}
+
+/// Reference merge: decode, apply, re-encode. Deletions remove the matching
+/// MK; insertions upsert by MK (paper §3.3: "checks duplicates, inserts if
+/// no duplicate exists, else updates"). The streaming ChunkMerger must
+/// produce exactly the bytes EncodeChunk gives for the result.
+void ApplyDeltaToChunk(const std::vector<DeltaEdge>& deltas, Chunk* chunk) {
+  std::unordered_map<uint64_t, size_t> by_mk;
+  for (size_t i = 0; i < chunk->entries.size(); ++i) {
+    by_mk[chunk->entries[i].mk] = i;
+  }
+  std::vector<bool> dead(chunk->entries.size(), false);
+  for (const auto& d : deltas) {
+    auto it = by_mk.find(d.mk);
+    if (d.deleted) {
+      if (it != by_mk.end()) dead[it->second] = true;
+    } else if (it != by_mk.end()) {
+      chunk->entries[it->second].v2 = d.v2;  // update in place
+      dead[it->second] = false;              // resurrect if deleted earlier
+    } else {
+      chunk->entries.push_back(ChunkEntry{d.mk, d.v2});
+      dead.push_back(false);
+      by_mk[d.mk] = chunk->entries.size() - 1;
+    }
+  }
+  size_t w = 0;
+  for (size_t i = 0; i < chunk->entries.size(); ++i) {
+    if (dead[i]) continue;
+    if (w != i) chunk->entries[w] = std::move(chunk->entries[i]);
+    ++w;
+  }
+  chunk->entries.resize(w);
+}
+
+/// Reference merge of `deltas` into `old` (nullptr: no preserved chunk):
+/// the merged chunk, and its frame (empty when no entry remains).
+Chunk ReferenceMerge(const std::string& key, const Chunk* old,
+                     const std::vector<DeltaEdge>& deltas, std::string* frame) {
+  Chunk merged;
+  merged.key = key;
+  if (old != nullptr) merged = *old;
+  ApplyDeltaToChunk(deltas, &merged);
+  frame->clear();
+  if (!merged.empty()) EncodeChunk(merged, frame);
+  return merged;
+}
+
+std::vector<std::string> Values(const Chunk& c) {
+  std::vector<std::string> out;
+  for (const auto& e : c.entries) out.push_back(e.v2);
+  return out;
+}
+
+std::vector<std::string> Values(const std::vector<std::string_view>& views) {
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
+/// A random chunk of `n` entries over MKs [0, 2n), so a few MKs repeat.
+Chunk RandomChunk(const std::string& key, int n, Rng* rng) {
+  Chunk c;
+  c.key = key;
+  for (int i = 0; i < n; ++i) {
+    const char fill = static_cast<char>('a' + i % 26);
+    const uint64_t mk = rng->Uniform(2 * n + 1);
+    c.entries.push_back(ChunkEntry{mk, std::string(rng->Uniform(12), fill)});
+  }
+  return c;
+}
+
+/// A random delta group against `old`: upserts and deletions of present
+/// MKs, and of absent ones, with repeats, plus the named sequences.
+std::vector<DeltaEdge> RandomDeltas(const Chunk& old, int n, Rng* rng) {
+  std::vector<DeltaEdge> d;
+  auto mk_of = [&]() -> uint64_t {
+    if (!old.entries.empty() && rng->Uniform(2) == 0) {
+      return old.entries[rng->Uniform(old.entries.size())].mk;
+    }
+    return 1000000 + rng->Uniform(2 * n + 1);  // absent MK
+  };
+  for (int i = 0; i < n; ++i) {
+    const uint64_t mk = mk_of();
+    switch (rng->Uniform(4)) {
+      case 0:  // delete (of a present or an absent MK)
+        d.push_back(DeltaEdge{"", mk, "", true});
+        break;
+      case 1:  // delete-then-insert
+        d.push_back(DeltaEdge{"", mk, "", true});
+        d.push_back(DeltaEdge{"", mk, "di" + std::to_string(i), false});
+        break;
+      case 2:  // insert-delete-insert
+        d.push_back(DeltaEdge{"", mk, "x", false});
+        d.push_back(DeltaEdge{"", mk, "", true});
+        d.push_back(DeltaEdge{"", mk, "idi" + std::to_string(i), false});
+        break;
+      default:  // plain upsert (possibly a duplicate of an earlier MK)
+        d.push_back(DeltaEdge{"", mk, "u" + std::to_string(i), false});
+    }
+  }
+  return d;
+}
+
+/// Deletions of every MK `c` holds.
+std::vector<DeltaEdge> DeleteAll(const Chunk& c) {
+  std::vector<DeltaEdge> d;
+  for (const auto& e : c.entries) d.push_back(DeltaEdge{"", e.mk, "", true});
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -202,6 +312,17 @@ class MRBGStoreTest : public ::testing::Test {
     return std::move(s.value());
   }
 
+  /// The last segment file of the store (empty if none).
+  std::string SegmentFile() const {
+    auto files = MRBGStore::ListStoreFiles(JoinPath(dir_, "store"));
+    std::string seg;
+    if (!files.ok()) return seg;
+    for (const auto& f : *files) {
+      if (f.find("seg-") != std::string::npos) seg = f;
+    }
+    return seg;
+  }
+
   std::string dir_;
 };
 
@@ -298,32 +419,31 @@ TEST_F(MRBGStoreTest, MergeGroupInsertDeleteUpdate) {
   ASSERT_TRUE(store->FinishBatch().ok());
 
   ASSERT_TRUE(store->PrepareQueries({"j", "new"}).ok());
-  Chunk merged;
+  std::string frame;
+  std::vector<std::string_view> values;
   // Delete mk=100, update mk=101, insert mk=500.
   ASSERT_TRUE(store
                   ->MergeGroup("j",
-                               {{"j", 100, "", true},
-                                {"j", 101, "upd", false},
-                                {"j", 500, "ins", false}},
-                               &merged)
+                               {{"", 100, "", true},
+                                {"", 101, "upd", false},
+                                {"", 500, "ins", false}},
+                               &frame, &values)
                   .ok());
-  ASSERT_EQ(merged.entries.size(), 3u);
-  std::map<uint64_t, std::string> by_mk;
-  for (const auto& e : merged.entries) by_mk[e.mk] = e.v2;
-  EXPECT_EQ(by_mk.count(100u), 0u);
-  EXPECT_EQ(by_mk[101], "upd");
-  EXPECT_EQ(by_mk[500], "ins");
+  EXPECT_EQ(Values(values), (std::vector<std::string>{"upd", "v2", "ins"}));
 
   // Merge for a brand-new key creates its chunk.
-  ASSERT_TRUE(store->MergeGroup("new", {{"new", 1, "x", false}}, &merged).ok());
-  EXPECT_EQ(merged.entries.size(), 1u);
+  ASSERT_TRUE(
+      store->MergeGroup("new", {{"", 1, "x", false}}, &frame, &values).ok());
+  EXPECT_EQ(values.size(), 1u);
   ASSERT_TRUE(store->FinishBatch().ok());
 
   // Both persisted; latest version of "j" visible.
   ASSERT_TRUE(store->PrepareQueries({"j", "new"}).ok());
   auto j = store->Query("j");
   ASSERT_TRUE(j.ok());
-  EXPECT_EQ(j->entries.size(), 3u);
+  ASSERT_EQ(j->entries.size(), 3u);
+  EXPECT_EQ(j->entries[0].mk, 101u);
+  EXPECT_EQ(j->entries[2].mk, 500u);
   EXPECT_TRUE(store->Query("new").ok());
 }
 
@@ -332,10 +452,274 @@ TEST_F(MRBGStoreTest, MergeToEmptyRemovesChunk) {
   ASSERT_TRUE(store->AppendChunk(MakeChunk("j", 1)).ok());  // mk 100
   ASSERT_TRUE(store->FinishBatch().ok());
   ASSERT_TRUE(store->PrepareQueries({"j"}).ok());
-  Chunk merged;
-  ASSERT_TRUE(store->MergeGroup("j", {{"j", 100, "", true}}, &merged).ok());
-  EXPECT_TRUE(merged.empty());
+  std::string frame;
+  std::vector<std::string_view> values;
+  ASSERT_TRUE(
+      store->MergeGroup("j", {{"", 100, "", true}}, &frame, &values).ok());
+  EXPECT_TRUE(values.empty());
+  EXPECT_TRUE(frame.empty());
   EXPECT_FALSE(store->Contains("j"));
+}
+
+// ---------------------------------------------------------------------------
+// Streaming merge: byte parity with the decode/apply/encode reference
+// ---------------------------------------------------------------------------
+
+TEST(ChunkMergerTest, MatchesReferenceOnRandomGroups) {
+  Rng rng(1234);
+  ChunkMerger merger;
+  std::string frame, want_frame, old_frame;
+  std::vector<std::string_view> values;
+  const int sizes[] = {0, 1, 2, 7, 64, 500, 5000};
+  for (int round = 0; round < 40; ++round) {
+    const int n = sizes[round % 7];
+    Chunk old = RandomChunk("key" + std::to_string(round), n, &rng);
+    old_frame.clear();
+    EncodeChunk(old, &old_frame);
+    const int nd = static_cast<int>(rng.Uniform(std::max(2, n / 8)) + 1);
+    const std::vector<DeltaEdge> groups[] = {
+        RandomDeltas(old, nd, &rng), {}, DeleteAll(old)};
+    for (const auto& deltas : groups) {
+      Chunk want = ReferenceMerge(old.key, &old, deltas, &want_frame);
+      ASSERT_TRUE(
+          merger.Merge(old.key, old_frame, deltas, &frame, &values).ok());
+      ASSERT_EQ(frame, want_frame) << "round " << round << " n=" << n;
+      ASSERT_EQ(Values(values), Values(want));
+      // Against no preserved chunk at all.
+      want = ReferenceMerge(old.key, nullptr, deltas, &want_frame);
+      ASSERT_TRUE(merger.Merge(old.key, "", deltas, &frame, &values).ok());
+      ASSERT_EQ(frame, want_frame);
+      ASSERT_EQ(Values(values), Values(want));
+    }
+  }
+}
+
+TEST(ChunkMergerTest, NamedSequences) {
+  ChunkMerger merger;
+  Chunk old = MakeChunk("k", 3);  // mks 100, 101, 102
+  old.entries.push_back(ChunkEntry{101, "dup"});  // 101 held twice
+  std::string old_frame, frame, want_frame;
+  EncodeChunk(old, &old_frame);
+  std::vector<std::string_view> values;
+  const std::vector<std::vector<DeltaEdge>> groups = {
+      {{"", 100, "a", false}, {"", 100, "b", false}},   // duplicate MK
+      {{"", 102, "", true}, {"", 102, "back", false}},  // delete-then-insert
+      {{"", 7, "x", false}, {"", 7, "", true}, {"", 7, "y", false},
+       {"", 8, "z", false}},                            // insert-delete-insert
+      {{"", 999, "", true}},                            // delete of absent MK
+      {{"", 101, "", true}},  // hits the last copy only
+      DeleteAll(old),
+  };
+  for (const auto& deltas : groups) {
+    Chunk want = ReferenceMerge("k", &old, deltas, &want_frame);
+    ASSERT_TRUE(merger.Merge("k", old_frame, deltas, &frame, &values).ok());
+    EXPECT_EQ(frame, want_frame);
+    EXPECT_EQ(Values(values), Values(want));
+  }
+  // Delete of an absent MK leaves the chunk as it was.
+  ASSERT_TRUE(merger.Merge("k", old_frame, {{"", 999, "", true}}, &frame,
+                           &values)
+                  .ok());
+  EXPECT_EQ(frame, old_frame);
+}
+
+TEST(ChunkMergerTest, RejectsCorruptOrForeignFrames) {
+  ChunkMerger merger;
+  std::string old_frame, frame;
+  EncodeChunk(MakeChunk("k", 4), &old_frame);
+  std::vector<std::string_view> values;
+  const std::vector<DeltaEdge> deltas = {{"", 100, "new", false}};
+  for (size_t i = 0; i < old_frame.size(); ++i) {
+    std::string bad = old_frame;
+    bad[i] ^= 0x10;
+    EXPECT_TRUE(merger.Merge("k", bad, deltas, &frame, &values).IsCorruption())
+        << "flipped byte " << i;
+  }
+  EXPECT_TRUE(merger
+                  .Merge("k", old_frame.substr(0, old_frame.size() - 1),
+                         deltas, &frame, &values)
+                  .IsCorruption());
+  // A valid frame for another key, and a tombstone frame.
+  EXPECT_TRUE(
+      merger.Merge("other", old_frame, deltas, &frame, &values).IsCorruption());
+  std::string tomb;
+  EncodeTombstone("k", &tomb);
+  EXPECT_TRUE(merger.Merge("k", tomb, deltas, &frame, &values).IsCorruption());
+}
+
+/// Where MergeGroup finds the preserved chunk.
+enum class MergeSource { kAppendBuffer, kTailCache, kSealedWindow };
+
+class MergeGroupParityTest
+    : public MRBGStoreTest,
+      public ::testing::WithParamInterface<MergeSource> {
+ protected:
+  MRBGStoreOptions Opts() const {
+    MRBGStoreOptions o;
+    o.log_structured = true;
+    o.append_buffer_bytes = 64u << 20;  // never spills mid-batch
+    if (GetParam() == MergeSource::kTailCache) o.tail_cache_bytes = 64u << 20;
+    if (GetParam() == MergeSource::kSealedWindow) o.segment_target_bytes = 1;
+    return o;
+  }
+
+  /// Append `chunks`; unless serving from the append buffer, close the
+  /// batch (flushing it; with a 1-byte segment target, sealing it).
+  void Preserve(MRBGStore* store, const std::vector<Chunk>& chunks) {
+    for (const auto& c : chunks) ASSERT_TRUE(store->AppendChunk(c).ok());
+    if (GetParam() != MergeSource::kAppendBuffer) {
+      ASSERT_TRUE(store->FinishBatch().ok());
+    }
+  }
+
+  /// Read-path counters that tell the sources apart.
+  void ExpectServedFromSource(const MRBGStoreStats& st) const {
+    if (GetParam() == MergeSource::kSealedWindow) {
+      EXPECT_GT(st.io_reads, 0u);
+    } else {
+      EXPECT_EQ(st.io_reads, 0u);
+      EXPECT_GT(st.cache_hits, 0u);
+    }
+  }
+};
+
+TEST_P(MergeGroupParityTest, BytesValuesAndQueryMatchReference) {
+  Rng rng(77);
+  auto store = OpenStore(Opts());
+  std::vector<Chunk> old;
+  const int sizes[] = {0, 1, 3, 40, 700, 5000};
+  for (int i = 0; i < 12; ++i) {
+    old.push_back(RandomChunk(PaddedNum(i), sizes[i % 6], &rng));
+  }
+  // Chunks 5 and 11 will lose every entry: distinct MKs, so deleting each
+  // MK once empties them.
+  old[5] = MakeChunk(PaddedNum(5), 300);
+  old[11] = MakeChunk(PaddedNum(11), 1);
+  Preserve(store.get(), old);
+  store->ResetStats();
+
+  // Merge every chunk plus two brand-new keys; chunk 5 and 11 lose every
+  // entry (tombstones), the new key "x1" only sees deletions (no chunk).
+  std::vector<std::string> keys;
+  for (const auto& c : old) keys.push_back(c.key);
+  keys.push_back("x0");
+  keys.push_back("x1");
+  ASSERT_TRUE(store->PrepareQueries(keys).ok());
+  std::map<std::string, Chunk> want;
+  std::string frame, want_frame;
+  std::vector<std::string_view> values;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Chunk* prev = i < old.size() ? &old[i] : nullptr;
+    Chunk empty;
+    std::vector<DeltaEdge> deltas;
+    if (i == 5 || i == 11) {
+      deltas = DeleteAll(*prev);
+    } else if (keys[i] == "x1") {
+      deltas = {{"", 1, "", true}};
+    } else {
+      deltas = RandomDeltas(prev != nullptr ? *prev : empty, 20, &rng);
+    }
+    Chunk w = ReferenceMerge(keys[i], prev, deltas, &want_frame);
+    ASSERT_TRUE(store->MergeGroup(keys[i], deltas, &frame, &values).ok())
+        << keys[i];
+    EXPECT_EQ(frame, want_frame) << keys[i];
+    EXPECT_EQ(Values(values), Values(w)) << keys[i];
+    if (!w.empty()) want[keys[i]] = w;
+  }
+  ExpectServedFromSource(store->stats());
+  EXPECT_EQ(store->stats().tombstones_appended, 2u);
+  ASSERT_TRUE(store->FinishBatch().ok());
+
+  // A later Query sees exactly the reference chunks; emptied keys are gone.
+  auto check = [&](MRBGStore* s) {
+    ASSERT_TRUE(s->PrepareQueries(keys).ok());
+    for (const auto& k : keys) {
+      auto q = s->Query(k);
+      auto it = want.find(k);
+      if (it == want.end()) {
+        EXPECT_TRUE(q.status().IsNotFound()) << k;
+        continue;
+      }
+      ASSERT_TRUE(q.ok()) << k << ": " << q.status().ToString();
+      EXPECT_EQ(q->entries, it->second.entries) << k;
+    }
+  };
+  check(store.get());
+  ASSERT_TRUE(store->Close().ok());
+  auto reopened = OpenStore(Opts());
+  EXPECT_EQ(reopened->num_chunks(), want.size());
+  check(reopened.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sources, MergeGroupParityTest,
+                         ::testing::Values(MergeSource::kAppendBuffer,
+                                           MergeSource::kTailCache,
+                                           MergeSource::kSealedWindow));
+
+TEST_F(MRBGStoreTest, MergeGroupDetectsFlippedPayloadByteOnDisk) {
+  MRBGStoreOptions o;
+  o.log_structured = true;
+  o.segment_target_bytes = 1;  // seal every batch
+  auto store = OpenStore(o);
+  ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 4)).ok());
+  ASSERT_TRUE(store->AppendChunk(MakeChunk("b", 4)).ok());
+  ASSERT_TRUE(store->FinishBatch().ok());
+  // Flip one payload byte of "b" in the sealed segment under the open
+  // store: the scan at open has passed, so only the merge can notice.
+  const std::string seg = SegmentFile();
+  ASSERT_FALSE(seg.empty());
+  std::string a_frame;
+  EncodeChunk(MakeChunk("a", 4), &a_frame);
+  {
+    std::fstream f(seg, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const std::streamoff off = static_cast<std::streamoff>(a_frame.size()) + 20;
+    f.seekg(off);
+    char c = 0;
+    f.read(&c, 1);
+    c ^= 0x01;
+    f.seekp(off);
+    f.write(&c, 1);
+  }
+  ASSERT_TRUE(store->PrepareQueries({"a", "b"}).ok());
+  std::string frame;
+  std::vector<std::string_view> values;
+  EXPECT_TRUE(
+      store->MergeGroup("a", {{"", 100, "x", false}}, &frame, &values).ok());
+  EXPECT_TRUE(store->MergeGroup("b", {{"", 100, "x", false}}, &frame, &values)
+                  .IsCorruption());
+}
+
+TEST_F(MRBGStoreTest, OpenRefusesFirstFormatFrames) {
+  MRBGStoreOptions o;
+  o.log_structured = true;
+  {
+    auto store = OpenStore(o);
+    ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 2)).ok());
+    ASSERT_TRUE(store->FinishBatch().ok());
+    ASSERT_TRUE(store->Close().ok());
+  }
+  // Rewrite the committed frame in the first format: magic "MRBG", checksum
+  // the low 32 bits of Hash64 over the payload. Same length, so the
+  // MANIFEST still covers it exactly.
+  const std::string seg = SegmentFile();
+  ASSERT_FALSE(seg.empty());
+  auto read = ReadFileToString(seg);
+  ASSERT_TRUE(read.ok());
+  const std::string& bytes = *read;
+  const uint32_t payload_len = DecodeFixed32(bytes.data() + 4);
+  ASSERT_EQ(bytes.size(), 12u + payload_len);
+  std::string old_format;
+  PutFixed32(&old_format, 0x4d524247);  // "MRBG"
+  PutFixed32(&old_format, payload_len);
+  old_format.append(bytes, 8, payload_len);
+  PutFixed32(&old_format, static_cast<uint32_t>(
+                              Hash64(bytes.data() + 8, payload_len)));
+  ASSERT_TRUE(WriteStringToFile(seg, old_format).ok());
+  auto reopened = MRBGStore::Open(JoinPath(dir_, "store"), o);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
 }
 
 TEST_F(MRBGStoreTest, ForEachChunkVisitsKeyOrder) {
