@@ -195,7 +195,7 @@ Status Pipeline::RestoreCommitted() {
     // Hard links, not copies: O(1) per file. The engine never mutates
     // these inodes in place — every rewrite allocates a fresh inode
     // (WritableFile fresh-inode semantics), and the MRBG store's in-place
-    // appends only grow an unindexed tail the committed mrbg.idx never
+    // appends only grow a tail past the lengths the committed MANIFEST
     // references.
     I2MR_RETURN_IF_ERROR(LinkOrCopyFile(JoinPath(src, "structure.dat"),
                                         engine_->StructurePath(p)));
@@ -204,9 +204,8 @@ Status Pipeline::RestoreCommitted() {
     std::string mrbg_src = JoinPath(src, "mrbg");
     std::error_code mrbg_ec;
     if (std::filesystem::is_directory(mrbg_src, mrbg_ec)) {
-      // Epoch-committed MRBG store image (raw or log-structured): link
-      // every file back; MRBGStore::Open works out the layout from the
-      // file set (a MANIFEST means log-structured).
+      // Epoch-committed MRBG store image: link every file back; the
+      // MANIFEST caps each segment at its committed length.
       I2MR_RETURN_IF_ERROR(CreateDirs(engine_->MrbgDir(p)));
       auto files = ListFiles(mrbg_src);
       if (!files.ok()) return files.status();
@@ -215,15 +214,6 @@ Status Pipeline::RestoreCommitted() {
         I2MR_RETURN_IF_ERROR(
             LinkOrCopyFile(path, JoinPath(engine_->MrbgDir(p), name)));
       }
-    } else if (FileExists(JoinPath(src, "mrbg.dat"))) {
-      // Epochs staged before the store image moved under mrbg/.
-      I2MR_RETURN_IF_ERROR(CreateDirs(engine_->MrbgDir(p)));
-      I2MR_RETURN_IF_ERROR(
-          LinkOrCopyFile(JoinPath(src, "mrbg.dat"),
-                         JoinPath(engine_->MrbgDir(p), "mrbg.dat")));
-      I2MR_RETURN_IF_ERROR(
-          LinkOrCopyFile(JoinPath(src, "mrbg.idx"),
-                         JoinPath(engine_->MrbgDir(p), "mrbg.idx")));
     }
     if (FileExists(JoinPath(src, "remote.dat"))) {
       // Cross-shard remote-edge inbox: committed alongside the state so a
@@ -559,7 +549,7 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // instead of O(live bytes) per epoch. Safe because nothing ever mutates
   // a committed inode: rewrites allocate fresh inodes (WritableFile
   // fresh-inode semantics), and the MRBG store's in-place appends only
-  // grow a tail past everything this epoch's mrbg.idx references.
+  // grow a tail past everything this epoch's MRBG MANIFEST references.
   // LinkOrCopyFile falls back to a byte copy across devices.
   std::vector<std::string> snapshot_files;
   for (int p = 0; p < n; ++p) {
@@ -571,11 +561,10 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
         LinkOrCopyFile(engine_->StatePath(p), JoinPath(pdir, "state.dat")));
     snapshot_files.push_back(JoinPath(pdir, "structure.dat"));
     snapshot_files.push_back(JoinPath(pdir, "state.dat"));
-    // MRBG store image under pdir/mrbg/: the engine picks the file set —
-    // a frozen prefix of every segment plus a manifest naming exactly
-    // those lengths (log-structured), or mrbg.dat + mrbg.idx (raw). Safe
-    // concurrently with the store's background compactor: compaction
-    // installs fresh inodes and never mutates linked ones.
+    // MRBG store image under pdir/mrbg/: a frozen prefix of every segment
+    // plus a manifest naming exactly those lengths. Safe concurrently with
+    // the store's background compactor: compaction installs fresh inodes
+    // and never mutates linked ones.
     size_t before = snapshot_files.size();
     I2MR_RETURN_IF_ERROR(engine_->SnapshotMrbgPartition(
         p, JoinPath(pdir, "mrbg"), &snapshot_files));

@@ -80,9 +80,8 @@ TEST_F(CoreIncrIterTest, RefreshReportsMrbgWriteVolume) {
   auto graph = GenGraph(gen);
   IncrIterOptions options;
   options.mrbg_auto_off_ratio = 2;
-  // Raw layout, no compaction: the store only grows by the chunk bytes it
-  // appends, so its footprint growth is its own bytes_appended counter.
-  options.store_options.log_structured = false;
+  // No compaction: the store only grows by the chunk and tombstone frames
+  // it appends, so its footprint growth is its own bytes_appended counter.
   options.store_options.background_compaction = false;
   IncrementalIterativeEngine engine(
       &cluster, pagerank::MakeIterSpec("pr_wvol", 4, 60, 1e-6), options);

@@ -8,6 +8,7 @@
 // usable), epoch stage (old-or-new, never torn) and MRBG compaction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -449,21 +450,45 @@ TEST_F(FaultDegradationTest, EnospcDuringMrbgCompactionKeepsStoreServing) {
   rule.times = -1;
   fault::FaultInjector::Instance()->AddRule(rule);
 
+  // The pass fails sealing the active segment: its successor cannot be
+  // created.
   EXPECT_FALSE((*store)->Compact().ok());
 
-  // The failed rewrite left the pre-compaction files intact.
+  // The failed pass left the pre-compaction files intact.
   fault::FaultInjector::Instance()->Reset();
   ASSERT_TRUE((*store)->PrepareQueries({"key3"}).ok());
   auto c = (*store)->Query("key3");
   ASSERT_TRUE(c.ok()) << c.status().ToString();
   EXPECT_EQ(c->entries[0].v2, "round3");  // latest round survived
 
+  // The active segment is still writable once space returns.
+  Chunk fresh;
+  fresh.key = "fresh";
+  fresh.entries.push_back(ChunkEntry{7, "after-enospc"});
+  ASSERT_TRUE((*store)->AppendChunk(fresh).ok());
+  ASSERT_TRUE((*store)->FinishBatch().ok());
+
   // And the retried compaction succeeds.
   ASSERT_TRUE((*store)->Compact().ok());
+  ASSERT_TRUE((*store)->PrepareQueries({"key3"}).ok());
   auto again = (*store)->Query("key3");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->entries[0].v2, "round3");
   ASSERT_TRUE((*store)->Close().ok());
+
+  // Everything, old keys and the post-fault append, survives a reopen.
+  auto reopened = MRBGStore::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::vector<std::string> keys = {"fresh"};
+  for (int k = 0; k < 16; ++k) keys.push_back("key" + std::to_string(k));
+  std::sort(keys.begin(), keys.end());
+  ASSERT_TRUE((*reopened)->PrepareQueries(keys).ok());
+  for (const auto& key : keys) {
+    auto got = (*reopened)->Query(key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+    EXPECT_EQ(got->entries[0].v2, key == "fresh" ? "after-enospc" : "round3")
+        << key;
+  }
 }
 
 TEST_F(FaultDegradationTest, MetricsExporterToleratesWriteFaults) {

@@ -1,5 +1,6 @@
-// Tests for the MRBG-Store: chunk codec, index persistence, append/batch
-// behaviour, the four read modes, merge semantics, and compaction.
+// Tests for the MRBG-Store: chunk codec, chunk index, append/batch
+// behaviour, the four read modes, merge semantics, segment log recovery,
+// and compaction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "mrbg/chunk.h"
 #include "mrbg/chunk_index.h"
 #include "mrbg/mrbg_store.h"
@@ -263,35 +265,6 @@ TEST(ChunkIndexTest, PutLookupErase) {
   EXPECT_EQ(idx.Lookup("a")->batch, 1u);
   idx.Erase("a");
   EXPECT_EQ(idx.Lookup("a"), nullptr);
-}
-
-TEST(ChunkIndexTest, SaveLoadRoundTrip) {
-  std::string dir = ::testing::TempDir() + "/i2mr_idx_test";
-  ASSERT_TRUE(ResetDir(dir).ok());
-  ChunkIndex idx;
-  idx.Put("a", {1, 2, 0});
-  idx.Put("b", {3, 4, 1});
-  idx.AddBatch({0, 100});
-  idx.AddBatch({100, 250});
-  ASSERT_TRUE(idx.Save(JoinPath(dir, "idx")).ok());
-
-  ChunkIndex loaded;
-  ASSERT_TRUE(loaded.Load(JoinPath(dir, "idx")).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  ASSERT_NE(loaded.Lookup("b"), nullptr);
-  EXPECT_EQ(*loaded.Lookup("b"), (ChunkLocation{3, 4, 1}));
-  ASSERT_EQ(loaded.batches().size(), 2u);
-  EXPECT_EQ(loaded.batches()[1].start, 100u);
-  ASSERT_TRUE(RemoveAll(dir).ok());
-}
-
-TEST(ChunkIndexTest, LoadRejectsGarbage) {
-  std::string dir = ::testing::TempDir() + "/i2mr_idx_bad";
-  ASSERT_TRUE(ResetDir(dir).ok());
-  ASSERT_TRUE(WriteStringToFile(JoinPath(dir, "idx"), "garbage!").ok());
-  ChunkIndex idx;
-  EXPECT_FALSE(idx.Load(JoinPath(dir, "idx")).ok());
-  ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +529,6 @@ class MergeGroupParityTest
  protected:
   MRBGStoreOptions Opts() const {
     MRBGStoreOptions o;
-    o.log_structured = true;
     o.append_buffer_bytes = 64u << 20;  // never spills mid-batch
     if (GetParam() == MergeSource::kTailCache) o.tail_cache_bytes = 64u << 20;
     if (GetParam() == MergeSource::kSealedWindow) o.segment_target_bytes = 1;
@@ -658,7 +630,6 @@ INSTANTIATE_TEST_SUITE_P(Sources, MergeGroupParityTest,
 
 TEST_F(MRBGStoreTest, MergeGroupDetectsFlippedPayloadByteOnDisk) {
   MRBGStoreOptions o;
-  o.log_structured = true;
   o.segment_target_bytes = 1;  // seal every batch
   auto store = OpenStore(o);
   ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 4)).ok());
@@ -692,7 +663,6 @@ TEST_F(MRBGStoreTest, MergeGroupDetectsFlippedPayloadByteOnDisk) {
 
 TEST_F(MRBGStoreTest, OpenRefusesFirstFormatFrames) {
   MRBGStoreOptions o;
-  o.log_structured = true;
   {
     auto store = OpenStore(o);
     ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 2)).ok());
@@ -926,7 +896,6 @@ class LogStructuredStoreTest : public MRBGStoreTest {
   /// zero so compaction thresholds are reachable with test-sized data.
   static MRBGStoreOptions LsOpts(size_t segment_target = 1024) {
     MRBGStoreOptions o;
-    o.log_structured = true;
     o.segment_target_bytes = segment_target;
     o.compact_min_wasted_bytes = 0;
     return o;
@@ -969,15 +938,13 @@ class LogStructuredStoreTest : public MRBGStoreTest {
 TEST_F(LogStructuredStoreTest, PersistsAcrossReopenWithRotation) {
   {
     auto store = OpenStore(LsOpts());
-    ASSERT_TRUE(store->log_structured());
     WriteRounds(store.get(), 4, 10);
     EXPECT_GT(store->num_segments(), 1u);  // tiny target forced rotation
     ASSERT_TRUE(store->Close().ok());
   }
   ASSERT_TRUE(FileExists(JoinPath(dir_, "store/MANIFEST")));
-  // Reopen without the flag: the on-disk MANIFEST wins.
+  // Reopen with default options: the on-disk MANIFEST names the segments.
   auto store = OpenStore();
-  EXPECT_TRUE(store->log_structured());
   EXPECT_EQ(store->num_chunks(), 10u);
   ExpectRound(store.get(), 3, 10);
 }
@@ -1053,61 +1020,6 @@ TEST_F(LogStructuredStoreTest, BackgroundCompactionAtBatchBoundaries) {
   ExpectRound(reopened.get(), 9, 8);
 }
 
-TEST_F(LogStructuredStoreTest, MigratesRawStoreInPlace) {
-  {
-    auto raw = OpenStore();  // default: raw layout
-    ASSERT_FALSE(raw->log_structured());
-    WriteRounds(raw.get(), 3, 10);
-    // A raw-mode delete lives only in the persisted index; the migration
-    // must honour it rather than resurrect the chunk from mrbg.dat.
-    ASSERT_TRUE(raw->RemoveChunk(PaddedNum(4)).ok());
-    ASSERT_TRUE(raw->Close().ok());
-  }
-  auto store = OpenStore(LsOpts());
-  EXPECT_TRUE(store->log_structured());
-  EXPECT_EQ(store->num_chunks(), 9u);
-  ExpectRound(store.get(), 2, 10, /*gone=*/{4});
-  EXPECT_TRUE(FileExists(JoinPath(dir_, "store/MANIFEST")));
-  EXPECT_FALSE(FileExists(JoinPath(dir_, "store/mrbg.dat")));
-  EXPECT_FALSE(FileExists(JoinPath(dir_, "store/mrbg.idx")));
-}
-
-TEST_F(LogStructuredStoreTest, ReadModesReturnSameChunksAsRaw) {
-  for (ReadMode mode :
-       {ReadMode::kIndexOnly, ReadMode::kSingleFixedWindow,
-        ReadMode::kMultiFixedWindow, ReadMode::kMultiDynamicWindow}) {
-    MRBGStoreOptions opts = LsOpts(2048);
-    opts.read_mode = mode;
-    opts.fixed_window_bytes = 256;
-    opts.gap_threshold_bytes = 64;
-    opts.read_cache_bytes = 1024;
-    std::string sub = std::string("mode_") + ReadModeName(mode);
-    auto s = MRBGStore::Open(JoinPath(dir_, sub), opts);
-    ASSERT_TRUE(s.ok());
-    auto& store = s.value();
-    for (int k = 0; k < 50; ++k) {
-      ASSERT_TRUE(
-          store->AppendChunk(MakeChunk(PaddedNum(k), 2, 10, "b1_")).ok());
-    }
-    ASSERT_TRUE(store->FinishBatch().ok());
-    for (int k = 0; k < 50; k += 2) {
-      ASSERT_TRUE(
-          store->AppendChunk(MakeChunk(PaddedNum(k), 2, 10, "b2_")).ok());
-    }
-    ASSERT_TRUE(store->FinishBatch().ok());
-    std::vector<std::string> keys;
-    for (int k = 0; k < 50; k += 3) keys.push_back(PaddedNum(k));
-    ASSERT_TRUE(store->PrepareQueries(keys).ok());
-    for (int k = 0; k < 50; k += 3) {
-      auto c = store->Query(PaddedNum(k));
-      ASSERT_TRUE(c.ok()) << "mode=" << ReadModeName(mode) << " k=" << k;
-      ASSERT_EQ(c->entries.size(), 2u);
-      EXPECT_EQ(c->entries[0].v2, (k % 2 == 0 ? "b2_0" : "b1_0"))
-          << "mode=" << ReadModeName(mode) << " k=" << k;
-    }
-  }
-}
-
 TEST_F(LogStructuredStoreTest, SnapshotIsFrozenAgainstLaterAppends) {
   auto store = OpenStore(LsOpts(512));
   WriteRounds(store.get(), 3, 8);
@@ -1123,14 +1035,13 @@ TEST_F(LogStructuredStoreTest, SnapshotIsFrozenAgainstLaterAppends) {
 
   auto snap_store = MRBGStore::Open(snap);
   ASSERT_TRUE(snap_store.ok()) << snap_store.status().ToString();
-  EXPECT_TRUE(snap_store.value()->log_structured());
   EXPECT_EQ(snap_store.value()->num_chunks(), 8u);
   ExpectRound(snap_store.value().get(), 2, 8);
   // And the source still serves its latest state.
   ExpectRound(store.get(), 1, 8, /*gone=*/{0});
 }
 
-TEST_F(LogStructuredStoreTest, ListStoreFilesCoversBothLayouts) {
+TEST_F(LogStructuredStoreTest, ListStoreFilesNamesManifestAndSegments) {
   // Nothing durable yet.
   auto empty = MRBGStore::ListStoreFiles(JoinPath(dir_, "nothing"));
   ASSERT_TRUE(empty.ok());
@@ -1150,41 +1061,60 @@ TEST_F(LogStructuredStoreTest, ListStoreFilesCoversBothLayouts) {
   }
   EXPECT_TRUE(has_manifest);
   EXPECT_TRUE(has_segment);
-
-  {
-    auto raw = MRBGStore::Open(JoinPath(dir_, "raw"));
-    ASSERT_TRUE(raw.ok());
-    ASSERT_TRUE(raw.value()->AppendChunk(MakeChunk("a", 1)).ok());
-    ASSERT_TRUE(raw.value()->Close().ok());
-  }
-  auto rf = MRBGStore::ListStoreFiles(JoinPath(dir_, "raw"));
-  ASSERT_TRUE(rf.ok());
-  EXPECT_EQ(rf->size(), 2u);  // mrbg.dat + mrbg.idx
 }
 
-// Crash injection at each compaction stage: a kill between the segment
-// rewrite and the index/manifest swap must recover to the old state or the
-// new state, never a torn mixture.
+// The retired single-file layout (mrbg.dat + mrbg.idx) has no migration:
+// opening a directory that holds either file fails and deletes nothing.
+TEST_F(LogStructuredStoreTest, OpenRefusesSingleFileLayout) {
+  for (const char* name : {"mrbg.idx", "mrbg.dat"}) {
+    const std::string dir = JoinPath(dir_, std::string("old_") + name);
+    const std::string path = JoinPath(dir, name);
+    ASSERT_TRUE(CreateDirs(dir).ok());
+    ASSERT_TRUE(WriteStringToFile(path, "single-file layout bytes").ok());
+    auto store = MRBGStore::Open(dir, LsOpts());
+    ASSERT_FALSE(store.ok()) << name;
+    EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+    EXPECT_NE(store.status().message().find(name), std::string::npos)
+        << store.status().ToString();
+    auto left = ReadFileToString(path);
+    ASSERT_TRUE(left.ok()) << name;
+    EXPECT_EQ(*left, "single-file layout bytes");
+    auto files = ListFiles(dir);
+    ASSERT_TRUE(files.ok());
+    EXPECT_EQ(files->size(), 1u) << name;
+  }
+}
+
+// Crash injection at each compaction stage (the "mrbg/<stage>" crash
+// points): a kill between the segment rewrite and the index/manifest swap
+// must recover to the old state or the new state, never a torn mixture.
 class CompactionCrashTest : public LogStructuredStoreTest,
                             public ::testing::WithParamInterface<const char*> {
+ protected:
+  void TearDown() override {
+    fault::FaultInjector::Instance()->Reset();
+    LogStructuredStoreTest::TearDown();
+  }
 };
 
 TEST_P(CompactionCrashTest, RecoversToConsistentState) {
-  const std::string stage = GetParam();
+  const std::string point = std::string("mrbg/") + GetParam();
   MRBGStoreOptions opts = LsOpts(512);
-  int fired = 0;
-  opts.compact_crash_hook = [&](const std::string& s) {
-    if (s != stage) return false;
-    ++fired;
-    return true;
-  };
   {
     auto store = OpenStore(opts);
     WriteRounds(store.get(), 6, 10);
     ASSERT_TRUE(store->RemoveChunk(PaddedNum(5)).ok());
     ASSERT_TRUE(store->FinishBatch().ok());
-    ASSERT_TRUE(store->Compact().ok());  // abandoned at `stage`
-    EXPECT_EQ(fired, 1);
+    auto* injector = fault::FaultInjector::Instance();
+    ASSERT_TRUE(
+        injector->LoadSpec("op=crash,kind=crash,times=-1,path=" + point).ok());
+    ASSERT_TRUE(store->Compact().ok());  // abandoned at `point`
+    int fired = 0;
+    for (const auto& event : injector->EventLog()) {
+      if (event.find(point) != std::string::npos) ++fired;
+    }
+    EXPECT_EQ(fired, 1) << injector->EventLogText();
+    injector->Reset();
     // The crashed store must stop touching disk, like a killed process.
     ASSERT_TRUE(store->Close().ok());
   }
