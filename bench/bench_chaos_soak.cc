@@ -75,7 +75,6 @@ ShardRouterOptions RouterOptions(MetricsRegistry* metrics,
   ShardRouterOptions options;
   options.num_shards = kShards;
   options.workers_per_shard = 2;
-  options.cross_shard_exchange = true;
   options.reset = reset;
   options.metrics = metrics;
   options.health = health;

@@ -2,9 +2,9 @@
 // stream and coordinated cross-shard epochs commit underneath.
 //
 // For each shard count we bootstrap one PageRank computation partitioned
-// across the shards in coordinated mode (cross_shard_exchange: boundary
-// contributions routed between shards, every epoch committed on all
-// shards atomically under the barrier), start the background coordinator,
+// across the shards (boundary contributions routed between shards, every
+// epoch committed on all shards atomically under the barrier), start the
+// background coordinator,
 // and stream graph deltas while reader threads serve pinned reads
 // (PinSnapshot + point Get). Reported per shard count: read latency
 // p50/p99, read throughput, and coordinated epochs committed during the
@@ -93,12 +93,11 @@ StatusOr<ShardResult> MeasureShards(int shards, int num_vertices) {
   options.num_shards = shards;
   options.workers_per_shard = 2;
   options.cost = bench::PaperCosts();
-  options.cross_shard_exchange = true;
   options.metrics = &metrics;
   options.pipeline.spec = pagerank::MakeIterSpec("rank", 2, 60, 1e-6);
   options.pipeline.engine.filter_threshold = 0.1;
   options.pipeline.min_batch = 1;
-  options.manager.poll_interval_ms = 2;
+  options.poll_interval_ms = 2;
   std::string root =
       bench::BenchRoot("serving_shards") + "/s" + std::to_string(shards);
   I2MR_RETURN_IF_ERROR(ResetDir(root));
@@ -108,8 +107,7 @@ StatusOr<ShardResult> MeasureShards(int shards, int num_vertices) {
       (*router)->Bootstrap(graph, bench::UnitState(graph)));
   ShardGroup group(router->get());
 
-  // Coordinated commits publish through the registry (the per-shard
-  // manager schedulers are idle in coordinated mode).
+  // The router publishes every barrier commit through the registry.
   auto commit_counters = [&] {
     uint64_t epochs = 0, deltas = 0;
     for (int s = 0; s < shards; ++s) {
@@ -184,7 +182,8 @@ StatusOr<ShardResult> MeasureShards(int shards, int num_vertices) {
 // followers adds real aggregate capacity even on a single-core runner:
 // with R reader threads hammering one shard's single primary the reads
 // serialize, while primary + 2 followers serve three at a time. Deltas
-// stream into the primaries and ship to the followers throughout, so the
+// stream through the router, the background coordinator commits barrier
+// epochs, and every epoch ships to the followers throughout, so the
 // numbers include live shipping, not an idle fleet.
 // ---------------------------------------------------------------------------
 
@@ -218,7 +217,7 @@ StatusOr<ReplicaResult> MeasureReplicas(int followers, int num_vertices) {
   options.pipeline.log.segment_bytes = 32 << 10;
   options.pipeline.log.archive_purged = true;
   options.pipeline.log.compress_archive = true;  // ship .lzd archives too
-  options.manager.poll_interval_ms = 2;
+  options.poll_interval_ms = 2;
   std::string root = bench::BenchRoot("serving_replicas") + "/f" +
                      std::to_string(followers);
   I2MR_RETURN_IF_ERROR(ResetDir(root));

@@ -1,5 +1,6 @@
 // Replicated serving with failover: one PageRank computation across two
-// shards, each primary feeding two read replicas by delta-log shipping.
+// coordinated shards (cross-shard exchange + barrier epochs), each primary
+// feeding two read replicas by delta-log shipping.
 // Every follower is a full vertical slice — its own root with shipped log
 // segments and epoch dirs, laid out byte-for-byte like a shard root — so
 // a follower serves pinned epoch-consistent reads through the exact same
@@ -13,10 +14,13 @@
 //      and caught-up followers; watch per-replica lag and shipped bytes.
 //   3. Kill a follower: routing skips it, reads keep flowing; restart it
 //      and the shipper heals it back to zero lag.
-//   4. Kill shard 0's PRIMARY: reads continue from its followers at the
-//      last durably committed epoch. Promote the freshest follower — A/B
-//      verification, CURRENT flip, pipeline recovery over its root — and
-//      writes resume, serving exactly the pre-crash committed state.
+//   4. Kill shard 0's PRIMARY: the router marks the shard down, so writes
+//      to it and barrier epochs are refused while reads continue from its
+//      followers at the fleet's committed epoch. Promote the freshest
+//      follower — A/B verification, then the router opens a replacement
+//      slice over its root and swaps it in — and writes and epochs resume,
+//      serving exactly the pre-crash committed state. The fleet still
+//      equals a recompute of the whole graph.
 //
 // Build: cmake --build build && ./build/examples/replicated_serving
 #include <cstdio>
@@ -61,7 +65,7 @@ int main() {
   gen.avg_degree = 6;
   auto graph = GenGraph(gen);
 
-  // -- Primaries: a 2-shard independent-mode router --------------------------
+  // -- Primaries: a 2-shard router --------------------------------------------
   ShardRouterOptions options;
   options.num_shards = 2;
   options.workers_per_shard = 2;
@@ -122,28 +126,38 @@ int main() {
               (unsigned long long)(*set)->ReplicaLag(0, 0));
 
   // -- Kill shard 0's primary and fail over -----------------------------------
+  std::string victim;  // a page shard 0 owns
+  for (const auto& kv : graph) {
+    if ((*router)->ShardOf(kv.key) == 0) {
+      victim = kv.key;
+      break;
+    }
+  }
   uint64_t pre_crash_epoch = (*router)->shard(0)->committed_epoch();
-  auto pre_crash_rank = (*set)->Get(probe);
+  auto pre_crash_rank = (*set)->Get(victim);
   if (!pre_crash_rank.ok() || !(*set)->KillPrimary(0).ok()) return 1;
-  // Reads still served (by shard 0's followers); writes to the shard refuse.
-  if (!(*set)->Get(probe).ok()) return 1;
-  bool write_refused = !(*set)->Append(DeltaKV{DeltaOp::kInsert,
-                                               probe, "0.5"}).ok();
+  // Reads still served (by shard 0's followers); writes to the shard and
+  // barrier epochs are refused.
+  if (!(*set)->Get(victim).ok()) return 1;
+  const bool write_refused =
+      !(*set)->Append(DeltaKV{DeltaOp::kInsert, victim, "0.5"}).ok();
+  const bool epoch_refused = !(*router)->RefreshCoordinated().ok();
+  if (!write_refused || !epoch_refused) return 1;
   auto promoted = (*set)->Promote(0);
   if (!promoted.ok()) {
     std::fprintf(stderr, "promote: %s\n",
                  promoted.status().ToString().c_str());
     return 1;
   }
-  std::printf("primary 0 killed (writes refused while dead: %s); "
+  std::printf("primary 0 killed (writes and epochs refused while dead); "
               "promoted replica%d at epoch %llu (pre-crash %llu)\n",
-              write_refused ? "yes" : "NO", *promoted,
+              *promoted,
               (unsigned long long)(*set)->primary(0)->committed_epoch(),
               (unsigned long long)pre_crash_epoch);
 
   // The promoted primary serves exactly the pre-crash committed state, and
   // writes flow again — through the new primary, shipped to the survivor.
-  auto post = (*set)->Get(probe);
+  auto post = (*set)->Get(victim);
   if (!post.ok() || *post != *pre_crash_rank) return 1;
   GraphDeltaOptions dopt;
   dopt.update_fraction = 0.05;
@@ -155,7 +169,23 @@ int main() {
     return 1;
   }
   std::printf("post-failover: rank(%s)=%s matches pre-crash; new deltas "
-              "committed and shipped\n", probe.c_str(), post->c_str());
+              "committed and shipped\n", victim.c_str(), post->c_str());
   PrintFleet(**set);
+
+  // Ground truth: the fleet, promoted shard included, matches an offline
+  // recompute of the whole graph.
+  std::vector<KV> served;
+  for (int s = 0; s < (*router)->num_shards(); ++s) {
+    auto part = (*router)->shard(s)->ServingSnapshot();
+    served.insert(served.end(), part.begin(), part.end());
+  }
+  const double error =
+      pagerank::MeanError(served, pagerank::Reference(graph, 80, 1e-8));
+  std::printf("mean error vs whole-graph offline recompute: %.5f%%\n",
+              error * 100.0);
+  if (error > 1e-3) {
+    std::fprintf(stderr, "fleet ranks diverge from the whole graph\n");
+    return 1;
+  }
   return 0;
 }

@@ -77,10 +77,8 @@ int main() {
   ShardRouterOptions options;
   options.num_shards = 4;
   options.workers_per_shard = 2;
-  // Coordinated mode: cross-shard rank contributions are exchanged and
-  // epochs commit under a barrier — sharded results match the unsharded
-  // computation instead of each shard's isolated subgraph.
-  options.cross_shard_exchange = true;
+  // Cross-shard rank contributions are exchanged and epochs commit under
+  // a barrier, so the sharded results match the unsharded computation.
   options.pipeline.spec = pagerank::MakeIterSpec("rank", 2, 60, 1e-4);
   // Exact change propagation: with a coarse CPC threshold the exchange
   // rounds would stop at a correspondingly coarse joint fixpoint. The
@@ -88,7 +86,7 @@ int main() {
   options.pipeline.engine.filter_threshold = 0.0;
   options.pipeline.min_batch = 20;
   options.pipeline.max_lag_ms = 100;
-  options.manager.poll_interval_ms = 5;
+  options.poll_interval_ms = 5;
   options.tenant = "free";  // the computation itself runs on the free tier
   options.admission = &admission;
   auto router = ShardRouter::Open("/tmp/i2mr_sharded_serving", "rank", options);
@@ -158,10 +156,9 @@ int main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   (*router)->Stop();
-  if ((*router)->DrainAll().ok() && (*router)->TotalPending() == 0) {
-    std::printf("drained; final epochs %s\n",
-                EpochVector((*router)->CommittedEpochs()).c_str());
-  }
+  if (!(*router)->DrainAll().ok() || (*router)->TotalPending() != 0) return 1;
+  std::printf("drained; final epochs %s\n",
+              EpochVector((*router)->CommittedEpochs()).c_str());
 
   auto stats = admission.tenant_stats("free");
   std::printf("free tenant totals: reads %llu admitted / %llu rejected, "
@@ -183,9 +180,10 @@ int main() {
     auto part = (*router)->shard(s)->ServingSnapshot();
     served.insert(served.end(), part.begin(), part.end());
   }
-  auto reference = pagerank::Reference(graph, 60, 1e-6);
+  const double error =
+      pagerank::MeanError(served, pagerank::Reference(graph, 60, 1e-6));
   std::printf("mean error vs whole-graph offline recompute: %.5f%%\n",
-              pagerank::MeanError(served, reference) * 100.0);
+              error * 100.0);
   std::printf("exchange: %s\n",
               MetricsRegistry::Default()
                   ->ToString("serving.rank.exchange")
@@ -197,6 +195,10 @@ int main() {
       return 1;
     }
     std::printf("wrote trace to $I2MR_TRACE_JSON\n");
+  }
+  if (error > 1e-3) {
+    std::fprintf(stderr, "sharded ranks diverge from the whole graph\n");
+    return 1;
   }
   return 0;
 }

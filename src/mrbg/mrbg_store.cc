@@ -1,6 +1,9 @@
 #include "mrbg/mrbg_store.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
@@ -326,6 +329,7 @@ Status MRBGStore::Reload() {
     live_bytes_ = 0;
     live_active_bytes_ = 0;
     sealed_bytes_ = 0;
+    tail_torn_ = false;
     crashed_ = false;
     I2MR_RETURN_IF_ERROR(OpenFiles());
   }
@@ -339,8 +343,22 @@ Status MRBGStore::Reload() {
 
 Status MRBGStore::FlushAppendBufferLocked() {
   if (append_buf_.empty() || crashed_) return Status::OK();
-  I2MR_RETURN_IF_ERROR(writer_->Append(append_buf_));
-  I2MR_RETURN_IF_ERROR(writer_->Flush());
+  // file_end_ already counts the buffer, which the index points into.
+  const uint64_t flushed = file_end_ - append_buf_.size();
+  if (tail_torn_) I2MR_RETURN_IF_ERROR(TruncateActiveLocked(flushed));
+  Status st = writer_->Append(append_buf_);
+  if (st.ok()) st = writer_->Flush();
+  if (!st.ok()) {
+    // A failed append can leave a torn prefix of the buffer in the
+    // segment, and a retry writes the whole buffer again: cut the file
+    // back to its flushed length first (as the delta log's rollback does),
+    // so the retry lands at the offsets the index holds. A failed cut is
+    // retried before the next append.
+    tail_torn_ = true;
+    Status cut = TruncateActiveLocked(flushed);
+    if (!cut.ok()) LOG_WARN << "mrbg: " << cut.ToString();
+    return st;
+  }
   if (options_.tail_cache_bytes > 0) {
     // Keep a copy of the flushed bytes: the next iteration's merge loop
     // re-queries exactly the chunks this iteration appended.
@@ -364,6 +382,23 @@ Status MRBGStore::FlushAppendBufferLocked() {
   }
   append_buf_.clear();
   segments_.back().reader.reset();  // file grew
+  return Status::OK();
+}
+
+Status MRBGStore::TruncateActiveLocked(uint64_t length) {
+  // Snapshots hard-link the active segment but cap it at a length that
+  // was flushed when they were taken, so cutting past `length` never
+  // touches bytes a snapshot references.
+  const std::string path = SegmentPath(segments_.back().id);
+  (void)writer_->Close();  // drains stdio's buffer; the cut drops it
+  if (::truncate(path.c_str(), static_cast<off_t>(length)) != 0) {
+    return Status::IOError("truncate " + path + ": " + std::strerror(errno));
+  }
+  auto w = WritableFile::Create(path, /*append=*/true);
+  if (!w.ok()) return w.status();
+  writer_ = std::move(w.value());
+  segments_.back().reader.reset();
+  tail_torn_ = false;
   return Status::OK();
 }
 

@@ -255,6 +255,9 @@ class MRBGStore {
   Status OpenFiles();
   Status ScanSegmentLocked(size_t pos);
   Status FlushAppendBufferLocked();
+  /// Cut the active segment file to `length` bytes and reopen writer_ at
+  /// its end.
+  Status TruncateActiveLocked(uint64_t length);
   Status RotateActiveLocked();
   Status WriteManifestLocked();
   Status CloseLocked();
@@ -329,6 +332,10 @@ class MRBGStore {
   uint64_t live_bytes_ = 0;
   uint64_t live_active_bytes_ = 0;
   uint64_t sealed_bytes_ = 0;
+  /// A failed append-buffer flush could not yet cut the active segment
+  /// back to its flushed length; the next flush does it before appending
+  /// (writer_ may be closed until then).
+  bool tail_torn_ = false;
   /// Set when an injected "mrbg/<stage>" crash point fired: disk must stay
   /// exactly as the abandoned pass left it, so Close() skips its final
   /// flush.

@@ -52,7 +52,6 @@ PipelineManager::PipelineManager(LocalCluster* cluster,
   epochs_committed_.published = options_.metrics->Get(prefix + ".epochs_committed");
   deltas_applied_.published = options_.metrics->Get(prefix + ".deltas_applied");
   epoch_failures_.published = options_.metrics->Get(prefix + ".epoch_failures");
-  epochs_deferred_.published = options_.metrics->Get(prefix + ".epochs_deferred");
   reads_served_.published = options_.metrics->Get(prefix + ".reads_served");
   epoch_wall_hist_ = options_.metrics->GetHistogram(prefix + ".epoch_wall_ns");
 }
@@ -179,10 +178,6 @@ int PipelineManager::ScheduleReady() {
   int64_t now = NowNanos();
   for (Entry* entry : Entries()) {
     if (now < entry->next_attempt_ns.load()) continue;  // failure backoff
-    // Pre-check before the gate: an epoch already in flight keeps
-    // EpochReady() true for its whole duration, and charging the tenant's
-    // quota once per poll round for a submission that cannot happen would
-    // silently throttle it far below its configured rate.
     if (entry->running.load()) continue;
     // A degraded (read-only) pipeline pauses epoch scheduling: its log is
     // bouncing appends, so an epoch would either find nothing new or fail
@@ -190,12 +185,6 @@ int PipelineManager::ScheduleReady() {
     // pipeline healthy again, and the next poll round resumes scheduling.
     if (entry->pipeline->degraded()) continue;
     if (!entry->pipeline->EpochReady()) continue;
-    if (options_.epoch_gate && !options_.epoch_gate(*entry->pipeline)) {
-      // Admission said "not now" (e.g. the owning tenant is over its epoch
-      // quota): the backlog stays in the log and is re-evaluated next poll.
-      epochs_deferred_.Increment();
-      continue;
-    }
     if (SubmitEpoch(entry)) ++scheduled;
   }
   return scheduled;
@@ -262,7 +251,6 @@ PipelineManager::Stats PipelineManager::stats() const {
   s.epochs_committed = epochs_committed_.local.load();
   s.deltas_applied = deltas_applied_.local.load();
   s.epoch_failures = epoch_failures_.local.load();
-  s.epochs_deferred = epochs_deferred_.local.load();
   s.reads_served = reads_served_.local.load();
   return s;
 }

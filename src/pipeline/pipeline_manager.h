@@ -14,7 +14,6 @@
 #define I2MR_PIPELINE_PIPELINE_MANAGER_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,20 +63,10 @@ struct PipelineManagerOptions {
   /// durability than the deployment default, never weaker).
   DurabilityMode durability = DurabilityMode::kProcessCrash;
 
-  /// Admission hook consulted by the background scheduler before each
-  /// epoch submission: return false to defer the pipeline's refresh this
-  /// poll round (counted as <metrics_prefix>.epochs_deferred). The serving
-  /// layer wires per-tenant token buckets in here so one tenant's delta
-  /// backlog can't monopolize the scheduler. Explicit DrainAll() calls
-  /// bypass the gate, like they bypass failure backoff. Must be
-  /// thread-safe; called from the poller thread.
-  std::function<bool(const Pipeline&)> epoch_gate;
-
   /// Where the manager publishes its counters (epochs committed, deltas
-  /// applied, failures, deferrals, reads served), under
+  /// applied, failures, reads served), under
   /// "<metrics_prefix>.<counter>". Defaults to MetricsRegistry::Default();
-  /// per-shard managers use distinct prefixes so one registry holds the
-  /// whole fleet side by side.
+  /// managers with distinct prefixes share one registry side by side.
   MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "pipeline_manager";
 
@@ -126,10 +115,6 @@ class PipelineManager {
   /// in-flight epochs.
   void Start();
   void Stop();
-  /// True while the background poller is scheduling epochs. The reshard
-  /// coordinator uses this to carry the donors' scheduling state over to
-  /// the destination fleet at cutover.
-  bool running() const { return polling_.load(); }
 
   const ServingView& view() const { return view_; }
 
@@ -140,7 +125,6 @@ class PipelineManager {
     uint64_t epochs_committed = 0;
     uint64_t deltas_applied = 0;   // records replayed into epochs
     uint64_t epoch_failures = 0;
-    uint64_t epochs_deferred = 0;  // epoch_gate said "not now"
     uint64_t reads_served = 0;     // ServingView lookups + snapshots
   };
   Stats stats() const;
@@ -195,7 +179,6 @@ class PipelineManager {
   PublishedCounter epochs_committed_;
   PublishedCounter deltas_applied_;
   PublishedCounter epoch_failures_;
-  PublishedCounter epochs_deferred_;
   mutable PublishedCounter reads_served_;
   Histogram* epoch_wall_hist_ = nullptr;  // registry-owned
 

@@ -24,7 +24,6 @@ ReplicaSet::ReplicaSet(ShardRouter* router, std::string replicas_root,
 ReplicaSet::~ReplicaSet() {
   for (auto& st : shards_) {
     if (st->shipper != nullptr) st->shipper->Stop();
-    if (st->promoted_manager != nullptr) st->promoted_manager->Stop();
   }
 }
 
@@ -117,7 +116,6 @@ Status ReplicaSet::Rebind() {
   // callbacks into their FollowerReplica instances.
   for (auto& st : old) {
     if (st->shipper != nullptr) st->shipper->Stop();
-    if (st->promoted_manager != nullptr) st->promoted_manager->Stop();
     for (auto& f : st->followers) f->RetireMetrics();
   }
   // One critical section for the map swap AND the rebuild: a reader must
@@ -259,49 +257,26 @@ StatusOr<std::string> ReplicaSet::Get(const std::string& key) const {
   return pin.Lookup(key);
 }
 
+Status ReplicaSet::CheckGeneration() const {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  return CheckGenerationLocked();
+}
+
+// Writes go through the router: its append gate, dual journal (mid
+// reshard) and down-shard check apply exactly as for direct callers.
 StatusOr<uint64_t> ReplicaSet::Append(const DeltaKV& delta) {
-  Pipeline* primary = nullptr;
-  int s = 0;
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
-    s = bound_map_.ShardOf(delta.key);
-    ShardState& st = *shards_[s];
-    if (st.dead) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) +
-          " primary is dead; promote a replica first");
-    }
-    primary = st.primary;
-  }
-  return primary->Append(delta);
+  I2MR_RETURN_IF_ERROR(CheckGeneration());
+  return router_->Append(delta);
 }
 
 Status ReplicaSet::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  for (const DeltaKV& d : deltas) {
-    auto seq = Append(d);
-    if (!seq.ok()) return seq.status();
-  }
-  return Status::OK();
+  I2MR_RETURN_IF_ERROR(CheckGeneration());
+  return router_->AppendBatch(deltas);
 }
 
 Status ReplicaSet::DrainAll() {
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
-  }
-  for (int s = 0; s < num_shards(); ++s) {
-    PipelineManager* manager = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      ShardState& st = *shards_[s];
-      if (st.dead) continue;
-      manager = st.promoted_manager != nullptr ? st.promoted_manager.get()
-                                               : router_->manager(s);
-    }
-    I2MR_RETURN_IF_ERROR(manager->DrainAll());
-  }
-  return Status::OK();
+  I2MR_RETURN_IF_ERROR(CheckGeneration());
+  return router_->DrainAll();
 }
 
 Status ReplicaSet::SyncAll() {
@@ -363,13 +338,7 @@ Status ReplicaSet::RestartReplica(int shard, int i) {
 }
 
 Status ReplicaSet::KillPrimary(int shard) {
-  if (router_->coordinated()) {
-    return Status::FailedPrecondition(
-        "per-shard failover requires an independent (non-coordinated) "
-        "router");
-  }
   ReplicaShipper* shipper = nullptr;
-  PipelineManager* manager = nullptr;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     ShardState& st = *shards_[shard];
@@ -381,19 +350,18 @@ Status ReplicaSet::KillPrimary(int shard) {
     st.transitioning = true;
     st.dead = true;
     shipper = st.shipper.get();
-    manager = st.promoted_manager != nullptr ? st.promoted_manager.get()
-                                             : router_->manager(shard);
   }
-  // Outside route_mu_: both stops join threads / wait out in-flight work.
-  // The captured pointers stay valid: Promote (the only code that replaces
-  // them) refuses to start while `transitioning` is held.
+  // Outside route_mu_: both calls wait out in-flight work (an epoch or
+  // append in the router, a ship pass in the shipper). The shipper
+  // pointer stays valid: Promote (the only code that replaces it) refuses
+  // to start while `transitioning` is held.
+  Status down = router_->MarkShardDown(shard);
   shipper->Stop();
-  manager->Stop();
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     shards_[shard]->transitioning = false;
   }
-  return Status::OK();
+  return down;
 }
 
 bool ReplicaSet::primary_dead(int shard) const {
@@ -430,7 +398,16 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
     }
     if (best < 0) {
       return Status::FailedPrecondition(
-          "no caught-up replica available to promote");
+          "no serving replica available to promote");
+    }
+    // Every other shard serves the fleet's committed epoch; a follower
+    // behind it would roll this shard back and break the uniform vector.
+    if (best_epoch != PrimaryEpoch(st)) {
+      return Status::FailedPrecondition(
+          "freshest replica of shard " + std::to_string(shard) +
+          " applied epoch " + std::to_string(best_epoch) +
+          " but the fleet committed epoch " +
+          std::to_string(PrimaryEpoch(st)));
     }
     st.transitioning = true;
   }
@@ -456,36 +433,19 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   I2MR_RETURN_IF_ERROR(f->DiscardStaged());
   I2MR_RETURN_IF_ERROR(f->VerifyCurrent());
 
-  // Open the real pipeline over the follower's root. Its CURRENT names the
-  // last epoch the primary durably committed; recovery restores the engine
-  // from that snapshot and replays shipped log segments past its
-  // watermark. The follower keeps serving reads until the cutover below.
-  auto cluster = std::make_unique<LocalCluster>(
-      f->root(), options_.promoted_workers, router_->options().cost,
-      /*reset=*/false);
-  PipelineManagerOptions mo = router_->options().manager;
-  mo.metrics = metrics_;
-  mo.metrics_prefix = MetricsPrefix(shard) + ".promoted";
-  auto manager = std::make_unique<PipelineManager>(cluster.get(), mo);
-  auto pipeline = manager->Register(router_->name(),
-                                    router_->options().pipeline);
+  // The router opens the replacement slice over the follower's root. Its
+  // CURRENT names the last epoch the fleet committed; recovery restores
+  // the engine from that snapshot and replays shipped log segments past
+  // its watermark. The follower keeps serving reads until the cutover
+  // below.
+  auto pipeline = router_->PromoteShard(shard, f->root());
   if (!pipeline.ok()) return pipeline.status();
-  if ((*pipeline)->committed_epoch() < f->applied_epoch()) {
-    return Status::Corruption(
-        "promoted pipeline recovered epoch " +
-        std::to_string((*pipeline)->committed_epoch()) +
-        " below the replica's applied epoch " +
-        std::to_string(f->applied_epoch()));
-  }
-  manager->Start();
 
   // Cutover: the promoted pipeline becomes the shard's primary, the
   // follower leaves the read rotation (its pins keep their stores), and a
   // fresh shipper feeds the surviving followers from the new primary.
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    st.promoted_cluster = std::move(cluster);
-    st.promoted_manager = std::move(manager);
     st.primary = *pipeline;
     st.promoted_replica = best;
     st.enabled[best] = false;

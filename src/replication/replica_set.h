@@ -3,26 +3,31 @@
 // For every shard of a sharded computation, the set runs N FollowerReplica
 // instances (roots under `<replicas_root>/shard-NNN/replica-<i>`), each fed
 // by that shard's ReplicaShipper. Reads load-balance round-robin across the
-// shard's primary and its caught-up followers; writes always go to the
-// primary (followers are read-only). A follower that is disabled, closed,
-// or lagging more than max_replica_lag_epochs behind the primary's
-// committed epoch is skipped by routing until shipping catches it up.
+// shard's primary and its caught-up followers; writes and epochs go
+// through the router (followers are read-only). A follower that is
+// disabled, closed, or lagging more than max_replica_lag_epochs behind the
+// primary's committed epoch is skipped by routing until shipping catches
+// it up.
 //
 // Snapshot reads reuse the serving layer unchanged: PinSnapshot() returns
 // the same ShardSnapshot ShardGroup hands out, except each component pin
 // may come from a follower instead of the primary — point gets, range
 // scans and top-k all run against the selected backends' pinned epochs.
 //
-// Failover (independent mode): KillPrimary(s) stops the shard's manager;
-// reads continue from followers. Promote(s) then picks the freshest
-// caught-up follower and promotes it through the A/B flow — discard any
-// uncommitted pre-staged slot, re-verify the applied epoch's manifest and
-// record-file CRCs, and open a real Pipeline over the follower's root (its
-// CURRENT names exactly the last epoch the dead primary durably committed;
-// recovery replays shipped log segments past the manifest watermark). The
-// promoted pipeline becomes the shard's primary — writes resume, a new
-// shipper feeds the surviving followers — while pins taken before the
-// promotion keep serving untouched.
+// Failover happens inside the router's coordinated fleet, which owns every
+// shard's primary. KillPrimary(s) marks shard s down in the router
+// (coordinated epochs and appends to s fail) and stops its shipper; reads
+// continue from followers. Promote(s) then picks the freshest follower,
+// which must sit at the fleet's committed epoch, and promotes it through
+// the A/B flow — discard any uncommitted pre-staged slot, re-verify the
+// applied epoch's manifest and record-file CRCs — and the router opens a
+// replacement slice over the follower's root (its CURRENT names exactly
+// the last epoch the fleet committed; recovery replays shipped log
+// segments past the manifest watermark) and swaps it in. Writes and
+// barrier epochs resume, a new shipper feeds the surviving followers, and
+// pins taken before the promotion keep serving untouched. Reopening the
+// router after a promotion is unsupported; Open refuses it once the fleet
+// has committed past the promotion (see shard_router.h).
 //
 // Each backend slot publishes under
 // "serving.<name>.shard<s>.replica<i>.*" (shipped_bytes, applied_epochs,
@@ -59,9 +64,6 @@ struct ReplicaSetOptions {
 
   /// Follower durability (the primary's own durability is the router's).
   DurabilityMode durability = DurabilityMode::kProcessCrash;
-
-  /// Workers for the cluster a promoted follower's pipeline runs on.
-  int promoted_workers = 2;
 
   /// Simulated per-backend service time per point read, charged under the
   /// backend's slot mutex (the CostModel idiom: capacity is modeled by
@@ -101,12 +103,12 @@ class ReplicaSet {
   /// charges its slot's service time, reads its committed epoch.
   StatusOr<std::string> Get(const std::string& key) const;
 
-  // -- Writes (primary-only) -------------------------------------------------
+  // -- Writes (through the router) -------------------------------------------
 
+  /// The router's Append/AppendBatch/DrainAll, refused while the set is
+  /// bound to a stale partition-map generation (call Rebind()).
   StatusOr<uint64_t> Append(const DeltaKV& delta);
   Status AppendBatch(const std::vector<DeltaKV>& deltas);
-
-  /// Run epochs on every live primary until nothing is pending.
   Status DrainAll();
 
   /// One synchronous ship pass on every shard (tests: reach a known
@@ -120,16 +122,16 @@ class ReplicaSet {
   /// Reopen a killed follower; the shipper catches it back up.
   Status RestartReplica(int shard, int i);
 
-  /// Kill shard `shard`'s primary: its manager stops scheduling, writes to
-  /// the shard fail, reads continue from caught-up followers. Independent
-  /// (non-coordinated) routers only — a barrier-committed fleet fails over
-  /// as a fleet, not per shard.
+  /// Kill shard `shard`'s primary: the router marks the shard down
+  /// (coordinated epochs and writes to the shard fail), its shipper stops,
+  /// reads continue from caught-up followers.
   Status KillPrimary(int shard);
   bool primary_dead(int shard) const;
 
-  /// Promote the freshest caught-up follower of a dead-primary shard to
-  /// primary (A/B verify + pipeline open over its root). Returns the
-  /// promoted follower's index. Writes to the shard succeed again after
+  /// Promote the freshest follower of a dead-primary shard to primary (A/B
+  /// verify, then ShardRouter::PromoteShard over its root). Refused unless
+  /// that follower applied the fleet's committed epoch. Returns the
+  /// promoted follower's index. Writes and epochs succeed again after
   /// this returns.
   StatusOr<int> Promote(int shard);
 
@@ -173,7 +175,7 @@ class ReplicaSet {
   };
 
   struct ShardState {
-    Pipeline* primary = nullptr;  // router's shard, or promoted_manager's
+    Pipeline* primary = nullptr;  // the router's slice for this shard
     bool dead = false;
     /// A KillPrimary/Promote transition is in flight (set/cleared under
     /// route_mu_). Serializes failover steps that must run outside the
@@ -191,9 +193,6 @@ class ReplicaSet {
     /// slots[0] = primary, slots[1 + i] = follower i.
     std::vector<std::unique_ptr<Slot>> slots;
     std::atomic<uint64_t> rr{0};
-    /// Ownership of a promoted primary's runtime.
-    std::unique_ptr<LocalCluster> promoted_cluster;
-    std::unique_ptr<PipelineManager> promoted_manager;
   };
 
   ReplicaSet(ShardRouter* router, std::string replicas_root,
@@ -206,6 +205,7 @@ class ReplicaSet {
   /// FailedPrecondition when the router's live generation moved past the
   /// one this set was built for (reshard cutover without Rebind()).
   Status CheckGenerationLocked() const;
+  Status CheckGeneration() const;
 
   std::string MetricsPrefix(int shard) const;
   /// Committed epoch of the shard's primary (frozen while it is dead).

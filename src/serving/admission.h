@@ -4,11 +4,11 @@
 //   reads  — gates query QPS at the ShardGroup edge (a rejected read
 //            returns RESOURCE_EXHAUSTED immediately; it never reaches a
 //            shard, so an over-quota tenant costs the servers nothing).
-//   epochs — gates refresh scheduling: wired into PipelineManager's
-//            epoch_gate so a tenant with a huge delta backlog gets its
-//            epochs deferred once over quota, instead of monopolizing the
-//            scheduler threads every other tenant's refreshes (and the
-//            cluster worker pool behind them) run on.
+//   epochs — gates refresh scheduling: a ShardRouter's coordinator
+//            thread asks once per coordinated epoch, so a tenant with a
+//            huge delta backlog gets its epochs deferred once over quota,
+//            instead of monopolizing the cluster worker pools every other
+//            tenant's refreshes run on.
 //
 // Buckets refill continuously at `rate` tokens/sec up to `burst`. A tenant
 // with no quota configured is admitted unconditionally. All decisions are

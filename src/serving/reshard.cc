@@ -55,13 +55,9 @@ Status ReshardCoordinator::DrainDonors() {
   // append gate for its final pass, under which one pass reaches zero.
   for (int pass = 0; pass < 4; ++pass) {
     if (router_->TotalPending() == 0) return Status::OK();
-    if (router_->coordinated()) {
-      // Run() holds coord_mu_ for the whole move.
-      auto st = router_->RefreshCoordinatedLocked();
-      if (!st.ok()) return st.status();
-    } else {
-      I2MR_RETURN_IF_ERROR(router_->DrainAll());
-    }
+    // Run() holds coord_mu_ for the whole move.
+    auto st = router_->RefreshCoordinatedLocked();
+    if (!st.ok()) return st.status();
   }
   return Status::OK();
 }
@@ -85,15 +81,11 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
 
   TRACE_SPAN("reshard.run", "router=%s", name.c_str());
 
-  // Coordinated fleets: hold the epoch coordinator's lock for the whole
-  // move, so no barrier commit interleaves with the fence, the transfer or
-  // the cutover. (The router's coordinator thread just waits; it resumes
-  // on the new topology afterwards.) Independent fleets keep committing
-  // per shard throughout — the dual journal keeps destinations current.
-  std::unique_lock<std::mutex> coord;
-  if (router_->coordinated()) {
-    coord = std::unique_lock<std::mutex>(router_->coord_mu_);
-  }
+  // Hold the epoch coordinator's lock for the whole move, so no barrier
+  // commit (or failover) interleaves with the fence, the transfer or the
+  // cutover. The router's coordinator thread just waits; it resumes on
+  // the new topology afterwards.
+  std::lock_guard<std::mutex> coord(router_->coord_mu_);
 
   if (router_->poisoned_.load()) {
     return Status::FailedPrecondition(
@@ -123,16 +115,6 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
       router_->options().pipeline.durability == DurabilityMode::kPowerFailure;
   const int num_partitions =
       router_->options().pipeline.spec.num_partitions;
-
-  // Was the donor fleet being background-scheduled? Carried over to the
-  // destinations at cutover.
-  bool donors_running = router_->coordinating_.load();
-  if (!router_->coordinated()) {
-    std::shared_lock<std::shared_mutex> topo(router_->topo_mu_);
-    for (const auto& sh : router_->shards_) {
-      donors_running = donors_running || sh->manager->running();
-    }
-  }
 
   // Health: donors and destinations are visibly "resharding" for the
   // length of the move; cleared (removed) on every exit path.
@@ -168,7 +150,6 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
   staging_opts.persist_partition_map = false;
   staging_opts.reset = true;
   staging_opts.admission = nullptr;  // donors already pay the tenant quota
-  staging_opts.barrier_crash_hook = nullptr;
   auto staging_or = ShardRouter::Open(root, name, std::move(staging_opts));
   if (!staging_or.ok()) return staging_or.status();
   std::unique_ptr<ShardRouter> staging = std::move(staging_or.value());
@@ -377,12 +358,8 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
     const uint64_t pending = staging->TotalPending();
     if (pending == 0 || pending >= prev_pending) break;
     prev_pending = pending;
-    if (staging->coordinated()) {
-      auto st = staging->RefreshCoordinated();
-      if (!st.ok()) return st.status();
-    } else {
-      I2MR_RETURN_IF_ERROR(staging->DrainAll());
-    }
+    auto st = staging->RefreshCoordinated();
+    if (!st.ok()) return st.status();
   }
   stats.catchup_ms = catchup_timer.ElapsedMillis();
 
@@ -489,23 +466,6 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
   stats.cutover_ms = cutover_timer.ElapsedMillis();
   cutover_gauge->Set(static_cast<int64_t>(stats.cutover_ms));
   cutover_span.End();
-
-  // Donor slices are retired inside the router; stop their schedulers and
-  // carry the scheduling state over to the new generation.
-  {
-    std::vector<PipelineManager*> retired_managers;
-    {
-      std::shared_lock<std::shared_mutex> topo(router_->topo_mu_);
-      for (const auto& sh : router_->retired_) {
-        retired_managers.push_back(sh->manager.get());
-      }
-    }
-    for (PipelineManager* mgr : retired_managers) mgr->Stop();
-  }
-  if (donors_running && !router_->coordinated()) {
-    std::shared_lock<std::shared_mutex> topo(router_->topo_mu_);
-    for (const auto& sh : router_->shards_) sh->manager->Start();
-  }
 
   stats.dual_journal_deltas =
       static_cast<uint64_t>(dual_journal->value() - dual_journal_base);

@@ -30,9 +30,9 @@
 //      durable RESHARD marker (the new map's encoding) commits the
 //      decision, the PARTMAP record is rewritten, and the router adopts
 //      the staging topology in one seqlock-bracketed pointer swap. The
-//      marker is then retired and the donors' managers stop. Donor slices
-//      stay alive (retired) so snapshots pinned before the flip keep
-//      serving the old map with zero failed reads.
+//      marker is then retired. Donor slices stay alive (retired) so
+//      snapshots pinned before the flip keep serving the old map with
+//      zero failed reads.
 //
 // Crash story: the RESHARD marker is the commit point. A crash anywhere
 // before it recovers (reset=false reopen) to exactly the old map — the
@@ -77,15 +77,15 @@ struct ReshardOptions {
   /// finer reuse granularity under churn, more chunks to index.
   int buckets_per_stream = 64;
 
-  /// Test hook simulating coordinator death inside the move, in the style
-  /// of ShardRouterOptions::barrier_crash_hook. Stages: "plan" (nothing
-  /// changed yet), "dual_journal" (journaling armed, transfer not begun),
-  /// "transfer" (chunks durable, staging fleet not bootstrapped),
-  /// "flip" (cutover fenced, RESHARD marker not yet written — recovery
-  /// keeps the old map), "flip_marker" (marker durable, topology not
-  /// swapped — recovery rolls forward to the new map; the router is
-  /// poisoned in-process exactly like a mid-flip barrier crash). The same
-  /// points fire from the fault-injection layer as "reshard/<stage>".
+  /// Test hook simulating coordinator death inside the move. Stages:
+  /// "plan" (nothing changed yet), "dual_journal" (journaling armed,
+  /// transfer not begun), "transfer" (chunks durable, staging fleet not
+  /// bootstrapped), "flip" (cutover fenced, RESHARD marker not yet written
+  /// — recovery keeps the old map), "flip_marker" (marker durable,
+  /// topology not swapped — recovery rolls forward to the new map; the
+  /// router is poisoned in-process exactly like a mid-flip barrier
+  /// crash). The same points fire from the fault-injection layer as
+  /// "reshard/<stage>".
   std::function<bool(const std::string& stage)> crash_hook;
 };
 

@@ -20,9 +20,10 @@
 // charge the calling tenant's read bucket and fail fast with
 // RESOURCE_EXHAUSTED when it is drained — an over-quota tenant is bounced
 // at the edge (reads against an already-pinned snapshot are local memory
-// reads and stay free). Epoch-side quotas are wired at the router
-// (PipelineManager::epoch_gate), so the same controller also keeps one
-// tenant's delta backlog from monopolizing refresh scheduling.
+// reads and stay free). Epoch-side quotas are wired at the router (its
+// coordinator thread asks AdmitEpoch once per epoch), so the same
+// controller also keeps one tenant's delta backlog from monopolizing
+// refresh scheduling.
 #ifndef I2MR_SERVING_SHARD_GROUP_H_
 #define I2MR_SERVING_SHARD_GROUP_H_
 

@@ -47,6 +47,17 @@ Status FirstError(const std::vector<Status>& status) {
   return Status::OK();
 }
 
+Status ShardDown(int s) {
+  return Status::Unavailable("shard " + std::to_string(s) +
+                             " primary is down; promote a follower first");
+}
+
+Status Poisoned() {
+  return Status::FailedPrecondition(
+      "a barrier commit or reshard cutover was left incomplete; appends "
+      "are refused until recovery");
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(std::string name, std::string root,
@@ -100,13 +111,19 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   if (options.num_shards <= 0 && options.partition_map.num_shards <= 0) {
     return Status::InvalidArgument("num_shards must be > 0");
   }
-  if (options.cross_shard_exchange &&
-      options.pipeline.spec.projector != nullptr &&
+  if (!options.cross_shard_exchange) {
+    // Shards refreshing alone confine cross-shard contributions to their
+    // own subgraph and serve wrong answers; that mode no longer exists.
+    return Status::InvalidArgument(
+        "cross_shard_exchange=false is not supported: sharded epochs always "
+        "exchange and commit under the barrier");
+  }
+  if (options.pipeline.spec.projector != nullptr &&
       options.pipeline.spec.projector->dep_type() == DepType::kAllToOne) {
     // Global reduce state cannot partition by key; run such apps on one
-    // shard in independent mode instead.
+    // Pipeline instead.
     return Status::InvalidArgument(
-        "cross_shard_exchange requires a partition-by-key app");
+        "sharding requires a partition-by-key app, not all-to-one");
   }
   if (options.metrics == nullptr) options.metrics = MetricsRegistry::Default();
   if (options.health == nullptr) options.health = HealthRegistry::Default();
@@ -163,75 +180,76 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   router->health_ = router->options_.health;
   router->map_ = std::make_shared<const PartitionMap>(map);
   const ShardRouterOptions& opts = router->options_;
-  if (opts.cross_shard_exchange) {
-    if (opts.reset) {
-      // Fresh deployment: a leftover barrier record belongs to wiped state.
-      I2MR_RETURN_IF_ERROR(RemoveAll(BarrierPathFor(root, name, map)));
-    } else {
-      // A crash inside a barrier commit left the decision record behind:
-      // roll every shard back to the previous epoch before the pipelines
-      // open, so no reader (and no replay) ever observes a mixed vector.
-      I2MR_RETURN_IF_ERROR(RecoverBarrier(root, name, opts, map));
-    }
+  if (opts.reset) {
+    // Fresh deployment: a leftover barrier record belongs to wiped state.
+    I2MR_RETURN_IF_ERROR(RemoveAll(BarrierPathFor(root, name, map)));
+  } else {
+    // A crash inside a barrier commit left the decision record behind:
+    // roll every shard back to the previous epoch before the pipelines
+    // open, so no reader (and no replay) ever observes a mixed vector.
+    I2MR_RETURN_IF_ERROR(RecoverBarrier(root, name, opts, map));
   }
   for (int s = 0; s < map.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
     // Each shard's cluster root is disjoint by construction; reset=false
     // re-attaches all of them for crash recovery (collision-free now that
     // LocalCluster job dirs are instance-namespaced).
-    shard->cluster = std::make_unique<LocalCluster>(
-        JoinPath(root, map.ShardDirName(s)), opts.workers_per_shard, opts.cost,
-        opts.reset);
-    PipelineManagerOptions mopts = opts.manager;
-    mopts.metrics = opts.metrics;
-    mopts.metrics_prefix = map.ShardMetricsPrefix(name, s);
-    if (!opts.cross_shard_exchange && opts.admission != nullptr &&
-        !opts.tenant.empty()) {
-      // The tenant's epoch quota gates every shard's refresh scheduling.
-      // (Coordinated mode consults the same quota once per coordinated
-      // epoch, in the coordinator loop.)
-      AdmissionController* admission = opts.admission;
-      std::string tenant = opts.tenant;
-      mopts.epoch_gate = [admission, tenant](const Pipeline&) {
-        return admission->AdmitEpoch(tenant);
-      };
+    auto shard = router->OpenShard(map, s, JoinPath(root, map.ShardDirName(s)),
+                                   opts.reset);
+    if (!shard.ok()) return shard.status();
+    router->shards_.push_back(std::move(shard.value()));
+  }
+  // Barrier commits are the only commits, so a recovered fleet sits at one
+  // epoch. A disagreement means a shard's primary was promoted to another
+  // root and this reopen re-attached the stale dir: refuse instead of
+  // serving a mixed epoch vector.
+  const Pipeline* first = router->shards_[0]->pipeline.get();
+  for (int s = 1; s < map.num_shards; ++s) {
+    const Pipeline* pipeline = router->shards_[s]->pipeline.get();
+    if (pipeline->bootstrapped() != first->bootstrapped() ||
+        pipeline->committed_epoch() != first->committed_epoch()) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(s) + " recovered epoch " +
+          std::to_string(pipeline->committed_epoch()) + " but shard 0 " +
+          std::to_string(first->committed_epoch()) +
+          "; was a shard promoted to another root?");
     }
-    shard->manager =
-        std::make_unique<PipelineManager>(shard->cluster.get(), mopts);
-    PipelineOptions popts = opts.pipeline;
-    if (opts.cross_shard_exchange) {
-      // The engine-boundary hook: this shard owns exactly the keys the
-      // partition map assigns to it, so map emissions to any other key are
-      // captured for the exchange instead of reducing here as phantoms.
-      // The map is captured by value: a shard slice belongs to exactly one
-      // generation, and keeps its own-map semantics even while a reshard
-      // builds the next generation alongside.
-      popts.spec.owns_key = [map, s](std::string_view key) {
-        return map.ShardOf(key) == s;
-      };
-    }
-    auto pipeline = shard->manager->Register(name, popts);
-    if (!pipeline.ok()) return pipeline.status();
-    shard->pipeline = pipeline.value();
-    router->shards_.push_back(std::move(shard));
   }
   router->deltas_routed_ =
       opts.metrics->Get("serving." + name + ".router.deltas_routed");
   router->lookups_routed_ =
       opts.metrics->Get("serving." + name + ".router.lookups_routed");
-  if (opts.cross_shard_exchange) {
-    router->exchange_ = std::make_unique<CrossShardExchange>(
-        map.num_shards,
-        [map](std::string_view key) { return map.ShardOf(key); }, opts.cost,
-        opts.metrics, "serving." + name + ".exchange");
-    for (int s = 0; s < map.num_shards; ++s) {
-      router->shard_epochs_committed_.push_back(opts.metrics->Get(
-          map.ShardMetricsPrefix(name, s) + ".epochs_committed"));
-      router->shard_deltas_applied_.push_back(opts.metrics->Get(
-          map.ShardMetricsPrefix(name, s) + ".deltas_applied"));
-    }
+  router->exchange_ = std::make_unique<CrossShardExchange>(
+      map.num_shards, [map](std::string_view key) { return map.ShardOf(key); },
+      opts.cost, opts.metrics, "serving." + name + ".exchange");
+  for (int s = 0; s < map.num_shards; ++s) {
+    router->shard_epochs_committed_.push_back(opts.metrics->Get(
+        map.ShardMetricsPrefix(name, s) + ".epochs_committed"));
+    router->shard_deltas_applied_.push_back(opts.metrics->Get(
+        map.ShardMetricsPrefix(name, s) + ".deltas_applied"));
   }
   return router;
+}
+
+StatusOr<std::unique_ptr<ShardRouter::Shard>> ShardRouter::OpenShard(
+    const PartitionMap& map, int s, const std::string& cluster_root,
+    bool reset) const {
+  auto shard = std::make_unique<Shard>();
+  shard->cluster = std::make_unique<LocalCluster>(
+      cluster_root, options_.workers_per_shard, options_.cost, reset);
+  PipelineOptions popts = options_.pipeline;
+  // The engine-boundary hook: this shard owns exactly the keys the
+  // partition map assigns to it, so map emissions to any other key are
+  // captured for the exchange instead of reducing here as phantoms. The
+  // map is captured by value: a shard slice belongs to exactly one
+  // generation, and keeps its own-map semantics even while a reshard
+  // builds the next generation alongside.
+  popts.spec.owns_key = [map, s](std::string_view key) {
+    return map.ShardOf(key) == s;
+  };
+  auto pipeline = Pipeline::Open(shard->cluster.get(), name_, std::move(popts));
+  if (!pipeline.ok()) return pipeline.status();
+  shard->pipeline = std::move(pipeline.value());
+  return shard;
 }
 
 int ShardRouter::ShardOf(std::string_view key) const {
@@ -249,7 +267,9 @@ ShardRouter::TopologyView ShardRouter::topology() const {
   TopologyView view;
   view.map = map_;
   view.pipelines.reserve(shards_.size());
-  for (const auto& shard : shards_) view.pipelines.push_back(shard->pipeline);
+  for (const auto& shard : shards_) {
+    view.pipelines.push_back(shard->pipeline.get());
+  }
   return view;
 }
 
@@ -260,12 +280,7 @@ int ShardRouter::num_shards() const {
 
 Pipeline* ShardRouter::shard(int i) const {
   std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shards_[i]->pipeline;
-}
-
-PipelineManager* ShardRouter::manager(int i) const {
-  std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shards_[i]->manager.get();
+  return shards_[i]->pipeline.get();
 }
 
 LocalCluster* ShardRouter::cluster(int i) const {
@@ -279,6 +294,7 @@ LocalCluster* ShardRouter::cluster(int i) const {
 
 Status ShardRouter::Bootstrap(const std::vector<KV>& structure,
                               const std::vector<KV>& initial_state) {
+  std::lock_guard<std::mutex> lock(coord_mu_);
   TopologyView view = topology();
   const int n = view.map->num_shards;
   std::vector<std::vector<KV>> structure_parts(n), state_parts(n);
@@ -288,26 +304,6 @@ Status ShardRouter::Bootstrap(const std::vector<KV>& structure,
   for (const auto& kv : initial_state) {
     state_parts[view.map->ShardOf(kv.key)].push_back(kv);
   }
-  if (options_.cross_shard_exchange) {
-    return BootstrapCoordinated(std::move(structure_parts),
-                                std::move(state_parts));
-  }
-  // Shards bootstrap concurrently: each runs its full computation on its
-  // own cluster's worker pool.
-  std::vector<Status> status(n);
-  ForEachShard(n, [&](int s) {
-    status[s] =
-        view.pipelines[s]->Bootstrap(structure_parts[s], state_parts[s]);
-  });
-  return FirstError(status);
-}
-
-Status ShardRouter::BootstrapCoordinated(
-    std::vector<std::vector<KV>> structure_parts,
-    std::vector<std::vector<KV>> state_parts) {
-  std::lock_guard<std::mutex> lock(coord_mu_);
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
   // Phase 1: every shard's full computation over its own subgraph — no
   // commit yet. Emissions to non-owned keys are captured, not reduced.
   std::vector<Status> status(n);
@@ -356,21 +352,21 @@ bool ShardRouter::bootstrapped() const {
 // ---------------------------------------------------------------------------
 
 StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
-  if (poisoned_.load()) {
-    // A durable decision (a barrier record or a reshard marker) already
-    // supersedes the live topology: an ack against this generation's log
-    // could be discarded by the recovery that resolves the poison. Refuse
-    // like Lookup does — an acked append must survive recovery.
-    return Status::FailedPrecondition(
-        "a barrier commit or reshard cutover was left incomplete; appends "
-        "are refused until recovery");
-  }
+  // A durable decision (a barrier record or a reshard marker) already
+  // supersedes the live topology: an ack against this generation's log
+  // could be discarded by the recovery that resolves the poison. Refuse
+  // like Lookup does — an acked append must survive recovery.
+  if (poisoned_.load()) return Poisoned();
   // The gate is shared for normal traffic; a reshard holds it exclusive
   // only for the watermark fence and the final cutover, so appends pause
   // for microseconds-to-one-epoch, never for the whole move.
   std::shared_lock<std::shared_mutex> gate(append_gate_);
-  TopologyView view = topology();
-  auto seq = view.pipelines[view.map->ShardOf(delta.key)]->Append(delta);
+  // Held across the log append, so MarkShardDown and PromoteShard wait it
+  // out: no append lands on a slice after it went down or was replaced.
+  std::shared_lock<std::shared_mutex> topo(topo_mu_);
+  const int s = map_->ShardOf(delta.key);
+  if (shards_[s]->down) return ShardDown(s);
+  auto seq = shards_[s]->pipeline->Append(delta);
   // Successes only: a failed log append was not routed into any shard.
   if (seq.ok()) {
     deltas_routed_->Increment();
@@ -386,26 +382,24 @@ StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
 }
 
 Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  if (poisoned_.load()) {
-    return Status::FailedPrecondition(
-        "a barrier commit or reshard cutover was left incomplete; appends "
-        "are refused until recovery");
-  }
+  if (poisoned_.load()) return Poisoned();
   std::shared_lock<std::shared_mutex> gate(append_gate_);
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
+  std::shared_lock<std::shared_mutex> topo(topo_mu_);  // as in Append
+  const int n = map_->num_shards;
   std::vector<std::vector<DeltaKV>> parts(n);
-  for (const auto& d : deltas) parts[view.map->ShardOf(d.key)].push_back(d);
+  for (const auto& d : deltas) parts[map_->ShardOf(d.key)].push_back(d);
   std::vector<int> targets;
   for (int s = 0; s < n; ++s) {
-    if (!parts[s].empty()) targets.push_back(s);
+    if (parts[s].empty()) continue;
+    if (shards_[s]->down) return ShardDown(s);  // refused whole
+    targets.push_back(s);
   }
   auto journal_part = [this](const std::vector<DeltaKV>& part) {
     if (!journal_) return;
     for (const auto& d : part) journal_(d);
   };
   if (targets.size() == 1) {
-    auto seq = view.pipelines[targets[0]]->AppendBatch(parts[targets[0]]);
+    auto seq = shards_[targets[0]]->pipeline->AppendBatch(parts[targets[0]]);
     if (!seq.ok()) return seq.status();
     deltas_routed_->Add(static_cast<int64_t>(parts[targets[0]].size()));
     journal_part(parts[targets[0]]);
@@ -417,8 +411,9 @@ Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
   std::vector<std::thread> threads;
   threads.reserve(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
-    threads.emplace_back([&view, i, &targets, &parts, &status] {
-      auto seq = view.pipelines[targets[i]]->AppendBatch(parts[targets[i]]);
+    Pipeline* pipeline = shards_[targets[i]]->pipeline.get();
+    threads.emplace_back([pipeline, i, &targets, &parts, &status] {
+      auto seq = pipeline->AppendBatch(parts[targets[i]]);
       status[i] = seq.ok() ? Status::OK() : seq.status();
     });
   }
@@ -461,11 +456,6 @@ StatusOr<std::string> ShardRouter::Lookup(const std::string& key) const {
 // ---------------------------------------------------------------------------
 
 void ShardRouter::Start() {
-  if (!options_.cross_shard_exchange) {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (const auto& shard : shards_) shard->manager->Start();
-    return;
-  }
   bool expected = false;
   if (!coordinating_.compare_exchange_strong(expected, true)) return;
   // One coordinator instead of per-shard schedulers: epochs must advance
@@ -474,7 +464,7 @@ void ShardRouter::Start() {
   // once per coordinated epoch.
   coordinator_ = std::thread([this] {
     const auto poll = std::chrono::microseconds(
-        static_cast<int64_t>(options_.manager.poll_interval_ms * 1000));
+        static_cast<int64_t>(options_.poll_interval_ms * 1000));
     // Failure backoff: consecutive failed coordinated epochs (a sick disk
     // fails every tick) back off exponentially instead of hammering the
     // same fault at poll rate. Sliced sleeps keep Stop() responsive.
@@ -498,6 +488,17 @@ void ShardRouter::Start() {
       // before (or instead of) taking new work.
       const bool resumable = pending_flip_epoch_.load() != 0;
       if ((ready && !poisoned_.load()) || resumable) {
+        // A down shard refuses every epoch until a promotion: skip the
+        // tick rather than charge the tenant's quota for it.
+        bool down;
+        {
+          std::shared_lock<std::shared_mutex> topo(topo_mu_);
+          down = !CheckNoShardDownLocked().ok();
+        }
+        if (down) {
+          std::this_thread::sleep_for(poll);
+          continue;
+        }
         bool admitted = resumable || options_.admission == nullptr ||
                         options_.tenant.empty() ||
                         options_.admission->AdmitEpoch(options_.tenant);
@@ -530,33 +531,14 @@ void ShardRouter::Stop() {
   if (coordinating_.exchange(false)) {
     if (coordinator_.joinable()) coordinator_.join();
   }
-  {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (const auto& shard : shards_) shard->manager->Stop();
-    for (const auto& shard : retired_) shard->manager->Stop();
-  }
 }
 
 Status ShardRouter::DrainAll() {
-  if (options_.cross_shard_exchange) {
-    while (true) {
-      auto st = RefreshCoordinated();
-      if (!st.ok()) return st.status();
-      if (TotalPending() == 0) return Status::OK();
-    }
+  while (true) {
+    auto st = RefreshCoordinated();
+    if (!st.ok()) return st.status();
+    if (TotalPending() == 0) return Status::OK();
   }
-  TopologyView view = topology();
-  const int n = static_cast<int>(view.pipelines.size());
-  std::vector<Status> status(n);
-  {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    std::vector<PipelineManager*> managers;
-    managers.reserve(n);
-    for (const auto& shard : shards_) managers.push_back(shard->manager.get());
-    topo.unlock();
-    ForEachShard(n, [&](int s) { status[s] = managers[s]->DrainAll(); });
-  }
-  return FirstError(status);
 }
 
 uint64_t ShardRouter::TotalPending() const {
@@ -679,10 +661,8 @@ ShardRouter::RefreshCoordinatedLocked() {
   WallTimer wall;
   TRACE_SPAN("serving.coordinated_epoch", "router=%s shards=%d", name_.c_str(),
              num_shards());
-  if (!options_.cross_shard_exchange) {
-    return Status::FailedPrecondition(
-        "RefreshCoordinated requires cross_shard_exchange");
-  }
+  // A down shard can neither refresh nor commit: no epoch until promotion.
+  I2MR_RETURN_IF_ERROR(CheckNoShardDownLocked());
   if (poisoned_.load()) {
     if (pending_flip_epoch_.load() != 0) {
       // The interrupted barrier was *decided* (record durable, staged
@@ -709,7 +689,7 @@ ShardRouter::RefreshCoordinatedLocked() {
   }
 
   // The topology is stable for the whole locked body: a reshard cutover
-  // swaps it only while holding coord_mu_ (coordinated fleets).
+  // and a promotion swap it only while holding coord_mu_.
   TopologyView view = topology();
   const int n = view.map->num_shards;
   // Round 0: every shard drains its log and refreshes its own subgraph,
@@ -745,8 +725,8 @@ ShardRouter::RefreshCoordinatedLocked() {
   }
   stats.rounds = *rounds;
 
-  // Everyone commits the same epoch N (vectors stay uniform: coordinated
-  // mode is the only committer).
+  // Everyone commits the same epoch N (vectors stay uniform: the barrier
+  // is the only committer).
   uint64_t epoch = 0;
   for (uint64_t e : CommittedEpochs()) epoch = std::max(epoch, e);
   ++epoch;
@@ -769,14 +749,12 @@ ShardRouter::RefreshCoordinatedLocked() {
 Status ShardRouter::CommitBarrier(uint64_t epoch) {
   TopologyView view = topology();
   const int n = view.map->num_shards;
-  auto crashed = [this](const std::string& stage) {
-    if (options_.barrier_crash_hook && options_.barrier_crash_hook(stage)) {
-      return true;
-    }
-    if (fault::FaultInjector::Armed()) {
-      return fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage);
-    }
-    return false;
+  // Simulated coordinator death: a kind=crash fault rule matching
+  // "barrier/<stage>" abandons the commit with the on-disk state exactly
+  // as a crash would leave it.
+  auto crashed = [](const std::string& stage) {
+    return fault::FaultInjector::Armed() &&
+           fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage);
   };
   auto fail = [this](Status st) {
     MarkAllDirty();
@@ -1028,6 +1006,75 @@ Status ShardRouter::RecoverBarrier(const std::string& root,
   return Status::OK();
 }
 
+Status ShardRouter::CheckNoShardDownLocked() const {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s]->down) return ShardDown(static_cast<int>(s));
+  }
+  return Status::OK();
+}
+
+Status ShardRouter::MarkShardDown(int s) {
+  {
+    // coord_mu_ waits out an epoch in flight; the exclusive topology lock
+    // waits out appends in flight (they hold it shared across the log
+    // append), so nothing lands on the slice once this returns.
+    std::lock_guard<std::mutex> coord(coord_mu_);
+    std::unique_lock<std::shared_mutex> topo(topo_mu_);
+    if (s < 0 || s >= static_cast<int>(shards_.size())) {
+      return Status::InvalidArgument("no shard " + std::to_string(s));
+    }
+    shards_[s]->down = true;
+  }
+  health_->Report("serving." + name_, HealthState::kDegraded,
+                  ShardDown(s).ToString());
+  return Status::OK();
+}
+
+StatusOr<Pipeline*> ShardRouter::PromoteShard(int s,
+                                              const std::string& cluster_root) {
+  // The topology only changes under coord_mu_, so it is read here without
+  // topo_mu_; the swap below still takes it exclusive for the readers.
+  std::lock_guard<std::mutex> coord(coord_mu_);
+  if (s < 0 || s >= static_cast<int>(shards_.size())) {
+    return Status::InvalidArgument("no shard " + std::to_string(s));
+  }
+  if (!shards_[s]->down) {
+    return Status::FailedPrecondition("shard " + std::to_string(s) +
+                                      " primary is not down");
+  }
+  if (poisoned_.load()) {
+    return Status::FailedPrecondition(
+        "an interrupted barrier commit or reshard must be recovered before "
+        "promotion");
+  }
+  // Barrier commits are the only commits, so the dead slice's epoch is
+  // the fleet's.
+  const uint64_t epoch = shards_[s]->pipeline->committed_epoch();
+  auto shard = OpenShard(*map_, s, cluster_root, /*reset=*/false);
+  if (!shard.ok()) return shard.status();
+  Pipeline* pipeline = shard.value()->pipeline.get();
+  if (pipeline->committed_epoch() != epoch) {
+    return Status::FailedPrecondition(
+        "promoted slice recovered epoch " +
+        std::to_string(pipeline->committed_epoch()) +
+        " but the fleet committed epoch " + std::to_string(epoch));
+  }
+  // Bracketed by the seqlock like a barrier flip, so a concurrent pin
+  // retries instead of mixing the old and new slice. The old slice is
+  // retired like a reshard donor: pins taken on it keep serving.
+  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+  {
+    std::unique_lock<std::shared_mutex> topo(topo_mu_);
+    retired_.push_back(std::move(shards_[s]));
+    shards_[s] = std::move(shard.value());
+  }
+  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+  if (CheckNoShardDownLocked().ok()) {
+    health_->Report("serving." + name_, HealthState::kHealthy);
+  }
+  return pipeline;
+}
+
 void ShardRouter::AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
                                 std::unique_ptr<CrossShardExchange> exchange,
                                 std::shared_ptr<const PartitionMap> map,
@@ -1036,9 +1083,8 @@ void ShardRouter::AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
   // The swap itself: pointer moves under the exclusive topology lock,
   // bracketed by the barrier-flip seqlock so coordinated pins retry
   // instead of pinning across two generations. Old slices move to
-  // retired_ (the caller stops their managers afterwards); their
-  // pipelines stay alive so pre-cutover pins and views keep serving the
-  // old map until the router dies.
+  // retired_; their pipelines stay alive so pre-cutover pins and views
+  // keep serving the old map until the router dies.
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::unique_lock<std::shared_mutex> topo(topo_mu_);

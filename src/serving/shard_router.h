@@ -1,9 +1,8 @@
 // ShardRouter: hash-partitions one continuously-refreshed computation
 // across N shards. Each shard is a full vertical slice — its own
-// LocalCluster (under <root>/<shard-dir>/), its own Pipeline (own DeltaLog,
-// epoch dirs, engine state) and its own PipelineManager scheduling that
-// pipeline's epochs — so shards ingest, refresh and serve independently;
-// nothing is shared but the process.
+// LocalCluster (under <root>/<shard-dir>/) and its own Pipeline (own
+// DeltaLog, epoch dirs, engine state) — and the fleet computes exactly
+// what one unsharded pipeline over the whole input would.
 //
 // Routing is by key through the router's versioned PartitionMap (see
 // serving/partition_map.h) — one stable key-hash partition function,
@@ -16,25 +15,28 @@
 // atomic cutover; retired donor slices stay alive until the router dies
 // so pre-cutover pins keep serving the old map.
 //
-// Two consistency modes:
+// Consistency model (the only one): every engine's map emissions to
+// non-owned keys are captured at the boundary, routed to the owning shard
+// by a CrossShardExchange, and folded into that shard's refresh;
+// RefreshCoordinated() iterates rounds under a barrier to the joint
+// fixpoint, so the sharded result equals the unsharded computation. All
+// shards then commit the same epoch N with a two-phase protocol — stage
+// every epoch dir, write the coordinator BARRIER record, flip every
+// CURRENT, clean up — and recovery rolls an incomplete barrier back to
+// N-1 everywhere, so readers never observe a mixed epoch vector. Apps
+// whose reduce state cannot partition by key (all-to-one, e.g. k-means'
+// single centroid record) are refused at Open: run them on one Pipeline.
 //
-//  * Independent (cross_shard_exchange = false, the default): each shard
-//    refreshes and commits on its own schedule. Correct only for apps
-//    whose reduce input partitions with the keys — cross-shard data
-//    dependencies (e.g. PageRank contributions along edges that cross the
-//    partition) are silently confined to their shard. Apps with global
-//    state (k-means' single centroid record) belong on one shard.
-//
-//  * Coordinated (cross_shard_exchange = true): every engine's map
-//    emissions to non-owned keys are captured at the boundary, routed to
-//    the owning shard by a CrossShardExchange, and folded into that
-//    shard's refresh; RefreshCoordinated() iterates rounds under a
-//    barrier to the joint fixpoint, so the sharded result equals the
-//    unsharded computation. All shards then commit the same epoch N with
-//    a two-phase protocol — stage every epoch dir, write the coordinator
-//    BARRIER record, flip every CURRENT, clean up — and recovery rolls an
-//    incomplete barrier back to N-1 everywhere, so readers never observe
-//    a mixed epoch vector.
+// Failover: the router owns every shard's primary. MarkShardDown(s) takes
+// shard s out of the fleet — coordinated epochs and appends routed to it
+// fail until a replacement is promoted — and PromoteShard(s, root) opens a
+// replacement slice over a follower root at the fleet's committed epoch
+// and swaps it in under the barrier-flip seqlock (replication/replica_set.h
+// drives both). A promoted slice lives under the follower's root, so
+// reopening the router (reset=false) after a promotion is unsupported: it
+// would re-attach the original shard dir. Once a barrier epoch commits
+// past the promotion that dir is behind the fleet, and Open refuses the
+// mixed epoch vector with FailedPrecondition.
 //
 // Epoch-consistent cross-shard reads and per-tenant admission live one
 // layer up, in ShardGroup / AdmissionController.
@@ -53,7 +55,7 @@
 
 #include "common/hash.h"
 #include "mr/cluster.h"
-#include "pipeline/pipeline_manager.h"
+#include "pipeline/pipeline.h"
 #include "serving/admission.h"
 #include "serving/exchange.h"
 #include "serving/partition_map.h"
@@ -67,28 +69,15 @@ struct ShardRouterOptions {
   int num_shards = 4;
   int workers_per_shard = 2;
 
-  /// Coordinated mode (see the header comment): exchange out-of-partition
-  /// map/reduce contributions between shards and commit epochs under a
-  /// cross-shard barrier, making sharded results equal the unsharded
-  /// computation. Requires a partition-by-key app (not all-to-one).
-  bool cross_shard_exchange = false;
+  /// Must be true (Open refuses false): sharded epochs always exchange
+  /// cross-shard contributions and commit under the barrier (see the
+  /// header comment). Kept only so existing option literals compile.
+  bool cross_shard_exchange = true;
 
   /// Safety cap on exchange rounds per coordinated epoch. Like the
   /// engine's max_iterations, hitting it logs a warning and commits the
   /// best state reached instead of failing the epoch.
   int max_exchange_rounds = 256;
-
-  /// Test hook simulating coordinator death inside the barrier commit.
-  /// Stages: "staged" (every shard's epoch dir staged, BARRIER not yet
-  /// written), "barrier" (BARRIER durable, nothing flipped), "mid_flip"
-  /// (exactly one shard's CURRENT flipped), "flipped" (all flipped,
-  /// BARRIER not yet removed). Return true to abandon the commit with the
-  /// on-disk state exactly as a crash would leave it; the router marks
-  /// every shard dirty and refuses the epoch. The same points fire from
-  /// the fault-injection layer: a kind=crash rule matching
-  /// "barrier/<stage>" (io/fault_env.h) kills here without wiring a
-  /// lambda.
-  std::function<bool(const std::string& stage)> barrier_crash_hook;
 
   /// Per-shard cluster cost model.
   CostModel cost;
@@ -104,16 +93,14 @@ struct ShardRouterOptions {
   /// durability). The spec's partition count applies per shard.
   PipelineOptions pipeline;
 
-  /// Template for every shard's manager; metrics_prefix is overridden with
-  /// the partition map's per-shard prefix ("serving.<name>.shard<i>" at
-  /// generation 0) so one registry holds per-shard counter families, and
-  /// epoch_gate is overridden when admission is wired below.
-  PipelineManagerOptions manager;
+  /// How often the coordinator thread (Start) polls the shards' epoch
+  /// triggers.
+  double poll_interval_ms = 10;
 
-  /// Owning tenant + admission control: when both are set, every shard
-  /// manager's epoch_gate consults admission->AdmitEpoch(tenant), so this
-  /// computation's delta backlog competes for refresh slots under the
-  /// tenant's epoch quota.
+  /// Owning tenant + admission control: when both are set, the coordinator
+  /// thread consults admission->AdmitEpoch(tenant) once per coordinated
+  /// epoch, so this computation's delta backlog competes for refresh slots
+  /// under the tenant's epoch quota.
   std::string tenant;
   AdmissionController* admission = nullptr;
 
@@ -169,8 +156,9 @@ class ShardRouter {
   };
   TopologyView topology() const;
 
-  /// Split the initial structure/state by key and run every shard's full
-  /// computation + epoch-0 commit. Shards bootstrap concurrently.
+  /// Split the initial structure/state by key, run every shard's full
+  /// computation concurrently, exchange rounds to the joint fixpoint, then
+  /// commit epoch 0 under the barrier.
   Status Bootstrap(const std::vector<KV>& structure,
                    const std::vector<KV>& initial_state);
   bool bootstrapped() const;
@@ -178,29 +166,31 @@ class ShardRouter {
   /// Durably append one update to its key's shard. Refused (like Lookup)
   /// while the router is poisoned: a durable barrier/reshard decision
   /// already supersedes the live topology, and recovery could discard an
-  /// ack made against it.
+  /// ack made against it. Refused with Unavailable while the key's shard
+  /// is down.
   StatusOr<uint64_t> Append(const DeltaKV& delta);
   /// Partition a batch by key and append per shard (one group per shard).
+  /// A batch touching a down shard is refused whole, before any append.
   Status AppendBatch(const std::vector<DeltaKV>& deltas);
 
   /// Point lookup from the key's shard's latest committed epoch.
   StatusOr<std::string> Lookup(const std::string& key) const;
 
-  /// Background epoch scheduling: per-shard managers in independent mode,
-  /// one coordinator thread driving RefreshCoordinated in coordinated mode.
+  /// Background epoch scheduling: one coordinator thread driving
+  /// RefreshCoordinated whenever a shard's trigger fires. Ticks while a
+  /// shard is down are skipped without charging the tenant's epoch quota.
   void Start();
   void Stop();
-  /// Run epochs everywhere until no shard has pending deltas; blocks.
-  /// Coordinated mode drains through RefreshCoordinated (barrier commits).
+  /// Run coordinated epochs until no shard has pending deltas; blocks.
   Status DrainAll();
 
-  /// One coordinated epoch across all shards (cross_shard_exchange mode):
-  /// every shard drains + refreshes, boundary contributions are exchanged
-  /// and re-reduced under a barrier until the joint fixpoint, then every
-  /// shard's epoch N commits atomically (two-phase; see RecoverBarrier in
-  /// the implementation for the crash story). Returns committed=false
-  /// without committing when nothing is pending anywhere. Serialized
-  /// against itself and the coordinator thread.
+  /// One coordinated epoch across all shards: every shard drains +
+  /// refreshes, boundary contributions are exchanged and re-reduced under
+  /// a barrier until the joint fixpoint, then every shard's epoch N
+  /// commits atomically (two-phase; see RecoverBarrier in the
+  /// implementation for the crash story). Returns committed=false without
+  /// committing when nothing is pending anywhere, and Unavailable while a
+  /// shard is down. Serialized against itself and the coordinator thread.
   struct CoordinatedEpochStats {
     bool committed = false;
     uint64_t epoch = 0;
@@ -218,14 +208,26 @@ class ShardRouter {
   std::vector<uint64_t> CommittedEpochs() const;
 
   int num_shards() const;
-  bool coordinated() const { return options_.cross_shard_exchange; }
+
+  /// Failover, step 1: take shard s's primary out of the fleet. Waits out
+  /// an epoch or append in flight; from then on RefreshCoordinated and
+  /// appends routed to s fail until PromoteShard. The slice stays open,
+  /// so pins already taken on it keep serving.
+  Status MarkShardDown(int s);
+  /// Failover, step 2: open a replacement slice for down shard s over
+  /// `cluster_root` (a follower root laid out like a shard root), exactly
+  /// as Open builds slices, and swap it in under the barrier-flip seqlock.
+  /// Refused unless the recovered pipeline sits at the fleet's committed
+  /// epoch. The old slice is retired like a reshard donor. Returns the
+  /// new primary.
+  StatusOr<Pipeline*> PromoteShard(int s, const std::string& cluster_root);
 
   /// Barrier-flip seqlock for uniform reads: even = stable, odd = a
-  /// barrier commit (or a reshard cutover) is mid-flip. ShardGroup::
-  /// PinSnapshot brackets its per-shard pins with this (wait while odd,
-  /// retry if it moved), so a coordinated-mode pin is always a uniform
-  /// epoch vector of one generation even while flips land one CURRENT at
-  /// a time.
+  /// barrier commit, a reshard cutover or a promotion is mid-flip.
+  /// ShardGroup::PinSnapshot brackets its per-shard pins with this (wait
+  /// while odd, retry if it moved), so a pin is always a uniform epoch
+  /// vector of one generation even while flips land one CURRENT at a
+  /// time.
   uint64_t commit_seq() const {
     return commit_seq_.load(std::memory_order_acquire);
   }
@@ -243,13 +245,10 @@ class ShardRouter {
   const std::string& name() const { return name_; }
   const std::string& tenant() const { return options_.tenant; }
   Pipeline* shard(int i) const;
-  PipelineManager* manager(int i) const;
   LocalCluster* cluster(int i) const;
   MetricsRegistry* metrics() const { return options_.metrics; }
   /// Effective options (metrics defaulted, templates as applied; after a
-  /// reshard, num_shards and pipeline.generation track the live map). The
-  /// replication layer clones the pipeline/cost templates from here when
-  /// it promotes a follower into a primary.
+  /// reshard, num_shards and pipeline.generation track the live map).
   const ShardRouterOptions& options() const { return options_; }
 
  private:
@@ -257,16 +256,23 @@ class ShardRouter {
 
   struct Shard {
     std::unique_ptr<LocalCluster> cluster;
-    std::unique_ptr<PipelineManager> manager;
-    Pipeline* pipeline = nullptr;  // owned by manager
+    std::unique_ptr<Pipeline> pipeline;
+    /// MarkShardDown was called. Written with coord_mu_ and topo_mu_
+    /// (exclusive) held, so either lock suffices to read it.
+    bool down = false;
   };
 
   ShardRouter(std::string name, std::string root, ShardRouterOptions options);
 
-  /// Coordinated bootstrap: per-shard full computation, exchange rounds to
-  /// the joint fixpoint, then the epoch-0 barrier commit.
-  Status BootstrapCoordinated(std::vector<std::vector<KV>> structure_parts,
-                              std::vector<std::vector<KV>> state_parts);
+  /// Build shard s's slice of `map` over `cluster_root`: cluster and
+  /// pipeline with the owns_key filter. Shared by Open and PromoteShard.
+  StatusOr<std::unique_ptr<Shard>> OpenShard(const PartitionMap& map, int s,
+                                             const std::string& cluster_root,
+                                             bool reset) const;
+
+  /// Unavailable naming the first down shard; caller holds coord_mu_ or
+  /// topo_mu_.
+  Status CheckNoShardDownLocked() const;
 
   /// RefreshCoordinated body; caller holds coord_mu_ (the reshard
   /// coordinator drains donors while holding the lock for the whole move).
@@ -279,7 +285,8 @@ class ShardRouter {
                                   uint64_t* edges_exchanged);
 
   /// Two-phase barrier commit of epoch `epoch` on every shard. On error
-  /// (or a simulated coordinator crash) every shard is marked dirty —
+  /// (or a kind=crash fault rule firing at "barrier/<stage>": "staged",
+  /// "barrier", "mid_flip", "flipped") every shard is marked dirty —
   /// except a real I/O failure after the decision record, which leaves
   /// the staged slots intact and arms pending_flip_epoch_ for
   /// ResumeBarrierLocked.
@@ -324,8 +331,8 @@ class ShardRouter {
   /// The reshard cutover: replace the whole topology (map, shard slices,
   /// exchange, per-shard counters, options' shard count + generation)
   /// with the staging fleet's, bracketed by the barrier-flip seqlock.
-  /// Retired slices (managers stopped by the caller) are kept alive until
-  /// the router dies so pre-cutover pins and views keep serving.
+  /// Retired slices are kept alive until the router dies so pre-cutover
+  /// pins and views keep serving.
   void AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
                      std::unique_ptr<CrossShardExchange> exchange,
                      std::shared_ptr<const PartitionMap> map,
@@ -339,14 +346,17 @@ class ShardRouter {
   ShardRouterOptions options_;
 
   /// Guards the live topology — map_, shards_, exchange_, the per-shard
-  /// counter vectors — shared for every read/route, exclusive only for
-  /// the reshard cutover's pointer swap. Lock order: append_gate_ (when
-  /// taken) before topo_mu_ before anything inside a pipeline.
+  /// counter vectors — shared for every read/route (appends hold it
+  /// across the pipeline append), exclusive only for the reshard
+  /// cutover's and a promotion's pointer swaps and MarkShardDown. Lock
+  /// order: coord_mu_, then append_gate_, then topo_mu_, then anything
+  /// inside a pipeline.
   mutable std::shared_mutex topo_mu_;
   std::shared_ptr<const PartitionMap> map_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Donor slices of previous generations, retired at cutover: managers
-  /// stopped, pipelines alive so pre-cutover pins stay valid.
+  /// Donor slices of previous generations (retired at cutover) and
+  /// replaced down slices (retired at promotion): pipelines alive so pins
+  /// taken on them stay valid.
   std::vector<std::unique_ptr<Shard>> retired_;
 
   /// Append gate: appends hold it shared; the reshard coordinator takes
@@ -366,9 +376,9 @@ class ShardRouter {
   Counter* deltas_routed_ = nullptr;
   Counter* lookups_routed_ = nullptr;
 
-  /// Coordinated mode: serializes RefreshCoordinated / DrainAll / the
-  /// coordinator thread (and, for the length of a move, the reshard
-  /// coordinator).
+  /// Serializes RefreshCoordinated / DrainAll / the coordinator thread /
+  /// failover (and, for the length of a move, the reshard coordinator).
+  /// The topology only changes with it held.
   std::mutex coord_mu_;
   std::unique_ptr<CrossShardExchange> exchange_;
   std::thread coordinator_;
@@ -384,8 +394,8 @@ class ShardRouter {
   std::atomic<uint64_t> pending_flip_epoch_{0};
   /// Resolved health registry (options_.health or Default()).
   HealthRegistry* health_ = nullptr;
-  /// Per-shard commit counters (the manager publishes these for solo
-  /// epochs; the router does for barrier commits). Guarded by topo_mu_.
+  /// Per-shard commit counters, published by the router for every barrier
+  /// commit. Guarded by topo_mu_.
   std::vector<Counter*> shard_epochs_committed_;
   std::vector<Counter*> shard_deltas_applied_;
 };

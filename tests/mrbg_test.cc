@@ -361,6 +361,44 @@ TEST_F(MRBGStoreTest, CloseWithoutFinishBatchStillDurable) {
   EXPECT_EQ(store->num_batches(), 1u);
 }
 
+// A torn append-buffer flush must not shift the batch: the segment is cut
+// back to its flushed length, so the retried flush lands at the offsets
+// the index already holds, and the store stays readable and reopenable.
+TEST_F(MRBGStoreTest, TornFlushIsCutBackSoTheRetryLandsAtIndexedOffsets) {
+  auto* injector = fault::FaultInjector::Instance();
+  struct Disarm {
+    fault::FaultInjector* injector;
+    ~Disarm() { injector->Reset(); }
+  } disarm{injector};
+  injector->Reset();
+  {
+    auto store = OpenStore();
+    ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 3)).ok());
+    ASSERT_TRUE(store->FinishBatch().ok());
+    ASSERT_TRUE(store->AppendChunk(MakeChunk("b", 5)).ok());
+    ASSERT_TRUE(injector->LoadSpec("op=append,path=seg-,kind=torn").ok());
+    EXPECT_FALSE(store->FinishBatch().ok());
+    ASSERT_EQ(injector->injections(), 1u);
+    injector->Reset();
+    ASSERT_TRUE(store->FinishBatch().ok());
+    ASSERT_TRUE(store->PrepareQueries({"a", "b"}).ok());
+    auto a = store->Query("a");
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(a->entries.size(), 3u);
+    auto b = store->Query("b");
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(b->entries.size(), 5u);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto reopened = MRBGStore::Open(JoinPath(dir_, "store"), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->num_chunks(), 2u);
+  ASSERT_TRUE((*reopened)->PrepareQueries({"b"}).ok());
+  auto b = (*reopened)->Query("b");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->entries.size(), 5u);
+}
+
 TEST_F(MRBGStoreTest, LatestVersionWins) {
   auto store = OpenStore();
   ASSERT_TRUE(store->AppendChunk(MakeChunk("a", 1, 100, "old")).ok());

@@ -1,10 +1,12 @@
 // Tests for the read-replica subsystem: delta-log + epoch shipping to
 // followers, pinned reads over replica backends, kill-a-replica
 // availability (reads keep succeeding, lag recovers after restart),
-// compressed-archive shipping, and promote-on-primary-death failover (the
-// promoted follower serves exactly the pre-crash committed epoch and the
-// shard keeps ingesting). Runs in the TSan matrix: the concurrent-reader
-// sections double as race checks on the shipper/cutover paths.
+// compressed-archive shipping, and promote-on-primary-death failover inside
+// the coordinated fleet (the promoted follower serves exactly the pre-crash
+// committed epoch, a follower behind the fleet is refused, and the fleet
+// keeps committing barrier epochs equal to the unsharded computation).
+// Runs in the TSan matrix: the concurrent-reader sections double as race
+// checks on the shipper/cutover paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,16 +44,15 @@ ShardRouterOptions PageRankShards(int num_shards, int partitions = 2) {
   return options;
 }
 
-std::vector<std::vector<KV>> ShardReferences(const ShardRouter& router,
-                                             const std::vector<KV>& graph) {
-  std::vector<std::vector<KV>> parts(router.num_shards());
-  for (const auto& kv : graph) parts[router.ShardOf(kv.key)].push_back(kv);
-  std::vector<std::vector<KV>> refs;
-  refs.reserve(parts.size());
-  for (const auto& part : parts) {
-    refs.push_back(pagerank::Reference(part, 100, 1e-9));
+/// Mean error of the fleet's served ranks (union over the set's current
+/// primaries) against a from-scratch run over the whole graph.
+double FleetError(const ReplicaSet& set, const std::vector<KV>& graph) {
+  std::vector<KV> served;
+  for (int s = 0; s < set.num_shards(); ++s) {
+    auto part = set.primary(s)->ServingSnapshot();
+    served.insert(served.end(), part.begin(), part.end());
   }
-  return refs;
+  return pagerank::MeanError(served, pagerank::Reference(graph, 100, 1e-9));
 }
 
 class ReplicationTest : public ::testing::Test {
@@ -178,10 +179,7 @@ TEST_F(ReplicationTest, ShipsCompressedArchiveSegmentsTransparently) {
   auto promoted = (*set)->Promote(0);
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_EQ((*set)->primary(0)->committed_epoch(), pre_crash);
-
-  auto refs = ShardReferences(**router, graph);
-  auto served = (*set)->primary(0)->ServingSnapshot();
-  EXPECT_LT(pagerank::MeanError(served, refs[0]), 1e-3);
+  EXPECT_LT(FleetError(**set, graph), 1e-3);
 }
 
 TEST_F(ReplicationTest, ArchivedTwinOfShippedRawSegmentNeverBlocksPromotion) {
@@ -402,10 +400,10 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
     EXPECT_EQ(*v, value) << key;
   }
 
-  // The shard ingests again through the promoted primary (writes must
-  // route through the set now — the router still points at the dead
-  // pipeline), stays exact vs a from-scratch recompute, and replication
-  // to the survivor resumes.
+  // The router now routes to the promoted primary: the shard ingests
+  // again, the fleet stays exact vs a from-scratch recompute of the whole
+  // graph, and replication to the survivor resumes.
+  EXPECT_EQ((*router)->shard(0), promoted_primary);
   GraphDeltaOptions dopt;
   dopt.update_fraction = 0.08;
   dopt.seed = 72;
@@ -417,15 +415,152 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
   ASSERT_TRUE((*set)->DrainAll().ok());
   ASSERT_TRUE((*set)->SyncAll().ok());
 
-  auto refs = ShardReferences(**router, graph);
-  for (int s = 0; s < 2; ++s) {
-    auto served = (*set)->primary(s)->ServingSnapshot();
-    EXPECT_LT(pagerank::MeanError(served, refs[s]), 1e-3) << "shard " << s;
-  }
+  EXPECT_LT(FleetError(**set, graph), 1e-3);
   int survivor = *promoted == 0 ? 1 : 0;
   EXPECT_EQ((*set)->replica(0, survivor)->applied_epoch(),
             (*set)->primary(0)->committed_epoch());
   EXPECT_FALSE((*set)->IsReplicaStale(0, survivor));
+}
+
+// ---------------------------------------------------------------------------
+// Failover inside the coordinated fleet
+// ---------------------------------------------------------------------------
+
+// A down shard stops barrier epochs and its writes while followers keep
+// serving its reads; a follower behind the fleet's committed epoch is
+// refused; after promoting an up-to-date one the epoch vector is uniform
+// and the next barrier epoch still equals the unsharded computation.
+TEST_F(ReplicationTest, FailoverRefusesEpochsUntilAnUpToDateFollowerIsPromoted) {
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+
+  auto router = ShardRouter::Open(root_, "pr", PageRankShards(2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 2;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  // Follower 1 of shard 0 misses epoch 1; follower 0 applies it.
+  ASSERT_TRUE((*set)->KillReplica(0, 1).ok());
+  AppendDelta(router->get(), &graph, gen, 81);
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  const uint64_t fleet_epoch = 1;
+  ASSERT_EQ((*router)->CommittedEpochs(),
+            std::vector<uint64_t>(2, fleet_epoch));
+  EXPECT_EQ((*set)->replica(0, 0)->applied_epoch(), fleet_epoch);
+
+  std::string key0;
+  for (const auto& kv : graph) {
+    if ((*router)->ShardOf(kv.key) == 0) {
+      key0 = kv.key;
+      break;
+    }
+  }
+  ASSERT_FALSE(key0.empty());
+  auto before = (*router)->Lookup(key0);
+  ASSERT_TRUE(before.ok());
+
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  EXPECT_TRUE((*set)->primary_dead(0));
+  // No barrier epoch and no write that touches the down shard...
+  auto epoch = (*router)->RefreshCoordinated();
+  EXPECT_EQ(epoch.status().code(), Status::Code::kUnavailable);
+  EXPECT_FALSE((*set)->DrainAll().ok());
+  auto next_graph = graph;
+  GraphDeltaOptions dopt;
+  dopt.update_fraction = 0.08;
+  dopt.seed = 82;
+  auto delta = GenGraphDelta(gen, dopt, &next_graph);
+  const std::vector<DeltaKV> batch(delta.begin(), delta.end());
+  EXPECT_EQ((*set)->AppendBatch(batch).code(), Status::Code::kUnavailable);
+  EXPECT_EQ((*set)
+                ->Append(DeltaKV{DeltaOp::kInsert, key0, "0000000002"})
+                .status()
+                .code(),
+            Status::Code::kUnavailable);
+  EXPECT_EQ((*router)->TotalPending(), 0u);
+  // ...while its reads keep coming from the follower at the fleet epoch.
+  auto during = (*set)->Get(key0);
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  EXPECT_EQ(*during, *before);
+
+  // Only the lagging follower serves: promoting it would roll shard 0
+  // back behind the fleet, so it is refused.
+  ASSERT_TRUE((*set)->KillReplica(0, 0).ok());
+  ASSERT_TRUE((*set)->RestartReplica(0, 1).ok());
+  EXPECT_LT((*set)->replica(0, 1)->applied_epoch(), fleet_epoch);
+  auto lagging = (*set)->Promote(0);
+  ASSERT_FALSE(lagging.ok());
+  EXPECT_EQ(lagging.status().code(), Status::Code::kFailedPrecondition)
+      << lagging.status().ToString();
+  EXPECT_TRUE((*set)->primary_dead(0));
+  EXPECT_FALSE((*router)->RefreshCoordinated().ok());
+
+  // The up-to-date follower is promoted into the router's fleet.
+  ASSERT_TRUE((*set)->RestartReplica(0, 0).ok());
+  auto promoted = (*set)->Promote(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(*promoted, 0);
+  EXPECT_FALSE((*set)->primary_dead(0));
+  EXPECT_EQ((*router)->shard(0), (*set)->primary(0));
+  EXPECT_EQ((*router)->CommittedEpochs(),
+            std::vector<uint64_t>(2, fleet_epoch));
+
+  // The refused batch now lands, and the next barrier epoch commits on
+  // both shards, equal to a recompute of the whole graph.
+  ASSERT_TRUE((*set)->AppendBatch(batch).ok());
+  graph = next_graph;
+  ASSERT_TRUE((*set)->DrainAll().ok());
+  EXPECT_EQ((*router)->CommittedEpochs(),
+            std::vector<uint64_t>(2, fleet_epoch + 1));
+  ShardGroup group(router->get());
+  auto pinned = group.PinSnapshot();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->epochs(), std::vector<uint64_t>(2, fleet_epoch + 1));
+  EXPECT_LT(FleetError(**set, graph), 1e-3);
+
+  // Shipping resumes from the new primary to the lagging survivor.
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  EXPECT_EQ((*set)->replica(0, 1)->applied_epoch(), fleet_epoch + 1);
+}
+
+// A promoted slice lives under the follower's root, so a reopen
+// re-attaches the dead primary's dir, one epoch behind the fleet once a
+// barrier epoch commits past the promotion. Open refuses that mixed
+// vector instead of serving it.
+TEST_F(ReplicationTest, ReopenAfterPromotionRefusesTheMixedEpochVector) {
+  GraphGenOptions gen;
+  gen.num_vertices = 80;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+  {
+    auto router = ShardRouter::Open(root_, "pr", PageRankShards(2));
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+    ReplicaSetOptions ro;
+    ro.replicas_per_shard = 1;
+    auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    ASSERT_TRUE((*set)->SyncAll().ok());
+    ASSERT_TRUE((*set)->KillPrimary(0).ok());
+    ASSERT_TRUE((*set)->Promote(0).ok());
+    AppendDelta(router->get(), &graph, gen, 91);
+    ASSERT_TRUE((*set)->DrainAll().ok());
+    ASSERT_EQ((*router)->CommittedEpochs(), std::vector<uint64_t>(2, 1));
+  }
+  auto options = PageRankShards(2);
+  options.reset = false;
+  auto reopened = ShardRouter::Open(root_, "pr", options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), Status::Code::kFailedPrecondition)
+      << reopened.status().ToString();
 }
 
 }  // namespace

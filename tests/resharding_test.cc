@@ -60,7 +60,6 @@ ShardRouterOptions CoordinatedOptions(IterJobSpec spec, int shards) {
   ShardRouterOptions options;
   options.num_shards = shards;
   options.workers_per_shard = 2;
-  options.cross_shard_exchange = true;
   options.pipeline.spec = std::move(spec);
   options.pipeline.engine.filter_threshold = 0.0;
   options.pipeline.engine.mrbg_auto_off_ratio = 2;
@@ -862,14 +861,9 @@ TEST_F(ReshardingTest, ReplicationDetectsGenerationBumpResyncsAndPromotes) {
   std::vector<KV> state;
   for (const auto& kv : graph) state.push_back(KV{kv.key, "1"});
 
-  // Independent mode (promotion requires per-shard managers).
-  ShardRouterOptions options;
-  options.num_shards = 2;
-  options.workers_per_shard = 2;
-  options.pipeline.spec = pagerank::MakeIterSpec("pr", 2, 100, 1e-9);
-  options.pipeline.engine.filter_threshold = 0.0;
-  options.pipeline.engine.mrbg_auto_off_ratio = 2;
-  auto router = ShardRouter::Open(root_, "pr", options);
+  auto router = ShardRouter::Open(
+      root_, "pr",
+      CoordinatedOptions(pagerank::MakeIterSpec("pr", 2, 100, 1e-9), 2));
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   ASSERT_TRUE((*router)->Bootstrap(graph, state).ok());
 
@@ -929,7 +923,8 @@ TEST_F(ReshardingTest, ReplicationDetectsGenerationBumpResyncsAndPromotes) {
   EXPECT_EQ(f->applied_epoch(), (*router)->shard(0)->committed_epoch());
 
   // Kill-primary-after-reshard: the promoted follower serves exactly the
-  // dead primary's committed state on the NEW partitioning.
+  // dead primary's committed state on the NEW partitioning, and the fleet
+  // commits barrier epochs again.
   GraphDeltaOptions dopt;
   dopt.update_fraction = 0.08;
   dopt.seed = 7;
@@ -968,6 +963,53 @@ TEST_F(ReshardingTest, ReplicationDetectsGenerationBumpResyncsAndPromotes) {
                            "0000000001 0000000002"})
           .ok());
   ASSERT_TRUE((*set)->DrainAll().ok());
+  EXPECT_EQ((*router)->CommittedEpochs(),
+            std::vector<uint64_t>(3, pre_crash_epoch + 1));
+}
+
+// A write acked through the replica set while a move is in flight must
+// reach the new generation: the set routes writes through the router, so
+// the append gate and the dual journal cover them like any other append.
+TEST_F(ReshardingTest, ReplicaSetWritesDuringAMoveReachTheNewGeneration) {
+  const int n = 40;
+  auto graph = RingGraph(n, /*weighted=*/true);
+  auto spec = sssp::MakeIterSpec("sp", PaddedNum(0), 2, 200);
+  auto router = ShardRouter::Open(root_, "sp", CoordinatedOptions(spec, 2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, InitStateFor(spec, graph)).ok());
+  std::string replicas = root_ + "_replicas";
+  ASSERT_TRUE(ResetDir(replicas).ok());
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 1;
+  auto set = ReplicaSet::Open(router->get(), replicas, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+
+  // Right after the dual journal arms: a shortcut 0 -> n/2 of weight 1,
+  // written through the set.
+  size_t acked = 0;
+  ReshardOptions opts;
+  opts.new_num_shards = 3;
+  opts.crash_hook = [&](const std::string& stage) {
+    if (stage == "dual_journal") {
+      for (const DeltaKV& d : AddShortcut(&graph, 0, n / 2, "1")) {
+        if ((*set)->Append(d).ok()) ++acked;
+      }
+    }
+    return false;
+  };
+  ReshardCoordinator coordinator(router->get(), opts);
+  auto stats = coordinator.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(acked, 2u);
+  EXPECT_EQ(stats->dual_journal_deltas, 2u);
+
+  // Vertex n/2 sat n/2 hops from the source; the shortcut makes it 1.
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  auto served = (*router)->Lookup(PaddedNum(n / 2));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  auto distance = ParseDouble(*served);
+  ASSERT_TRUE(distance.ok()) << *served;
+  EXPECT_DOUBLE_EQ(*distance, 1.0);
 }
 
 }  // namespace

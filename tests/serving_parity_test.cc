@@ -1,5 +1,5 @@
 // Cross-shard ground-truth parity suite: a sharded computation with the
-// CrossShardExchange (cross_shard_exchange = true) must equal the
+// CrossShardExchange must equal the
 // *unsharded* pipeline — not merely a per-shard recompute of each shard's
 // own subgraph — on graphs with heavy cross-shard edges, through bootstrap
 // and several streamed delta epochs, for PageRank, SSSP and ConComp.
@@ -22,6 +22,7 @@
 #include "common/codec.h"
 #include "data/graph_gen.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "serving/shard_group.h"
 #include "serving/shard_router.h"
 
@@ -63,7 +64,6 @@ ShardRouterOptions CoordinatedOptions(IterJobSpec spec, int shards) {
   ShardRouterOptions options;
   options.num_shards = shards;
   options.workers_per_shard = 2;
-  options.cross_shard_exchange = true;
   options.pipeline = MakePipelineOptions(std::move(spec));
   return options;
 }
@@ -437,7 +437,7 @@ TEST_F(ServingParityTest, ConcurrentPinsStayUniformWhileBarriersFlip) {
 
   auto options = CoordinatedOptions(spec, 3);
   options.pipeline.min_batch = 1;
-  options.manager.poll_interval_ms = 2;
+  options.poll_interval_ms = 2;
   auto router = ShardRouter::Open(JoinPath(root_, "concurrent"), "prc2",
                                   options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
@@ -495,7 +495,22 @@ TEST_F(ServingParityTest, ConcurrentPinsStayUniformWhileBarriersFlip) {
 // Barrier crash recovery: an incomplete commit rolls back to N-1 everywhere
 // ---------------------------------------------------------------------------
 
-class BarrierRecoveryTest : public ServingParityTest {};
+/// Crashes are injected through kind=crash fault rules on the
+/// "barrier/<stage>" crash points (io/fault_env.h).
+class BarrierRecoveryTest : public ServingParityTest {
+ protected:
+  void SetUp() override {
+    ServingParityTest::SetUp();
+    fault::FaultInjector::Instance()->Reset();
+  }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
+
+  static void ArmCrashAt(const std::string& stage) {
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,kind=crash,path=barrier/" + stage)
+                    .ok());
+  }
+};
 
 TEST_F(BarrierRecoveryTest, CrashMidBarrierNeverExposesAMixedEpoch) {
   GraphGenOptions gen;
@@ -521,20 +536,15 @@ TEST_F(BarrierRecoveryTest, CrashMidBarrierNeverExposesAMixedEpoch) {
 
   for (const std::string stage : {"staged", "barrier", "mid_flip", "flipped"}) {
     std::string root = JoinPath(root_, "crash_" + stage);
-    std::atomic<bool> armed{false};
-    std::atomic<bool> fired{false};
-    auto options = CoordinatedOptions(spec, 3);
-    options.barrier_crash_hook = [&, stage](const std::string& s) {
-      if (s != stage || !armed.load()) return false;
-      return !fired.exchange(true);
-    };
     {
-      auto router = ShardRouter::Open(root, "prc", options);
+      auto router = ShardRouter::Open(root, "prc", CoordinatedOptions(spec, 3));
       ASSERT_TRUE(router.ok()) << router.status().ToString();
       ASSERT_TRUE((*router)->Bootstrap(graph, init).ok()) << stage;
-      armed.store(true);  // crash the next (delta) barrier, not bootstrap
+      // Crash the next (delta) barrier, not bootstrap; the rule fires once.
+      ArmCrashAt(stage);
       ASSERT_TRUE((*router)->AppendBatch(batch).ok());
       auto st = (*router)->DrainAll();
+      fault::FaultInjector::Instance()->Reset();
       ASSERT_FALSE(st.ok()) << stage << ": simulated crash must surface";
       // Cross-shard reads on the wreck: before any flip the router still
       // serves the old uniform cut; a crash that left CURRENTs mixed
@@ -581,15 +591,12 @@ TEST_F(BarrierRecoveryTest, CrashInsideBootstrapBarrierRollsBackToEmpty) {
   const auto init = InitStateFor(spec, graph);
 
   std::string root = JoinPath(root_, "bootcrash");
-  std::atomic<bool> fired{false};
-  auto options = CoordinatedOptions(spec, 3);
-  options.barrier_crash_hook = [&](const std::string& s) {
-    return s == "mid_flip" && !fired.exchange(true);
-  };
   {
-    auto router = ShardRouter::Open(root, "prb", options);
+    auto router = ShardRouter::Open(root, "prb", CoordinatedOptions(spec, 3));
     ASSERT_TRUE(router.ok()) << router.status().ToString();
+    ArmCrashAt("mid_flip");
     auto st = (*router)->Bootstrap(graph, init);
+    fault::FaultInjector::Instance()->Reset();
     ASSERT_FALSE(st.ok()) << "simulated bootstrap crash must surface";
   }
   // Recovery: epoch 0 never happened anywhere — all-or-nothing bootstrap.
